@@ -23,19 +23,11 @@ double max_splittable_amount(
     const std::vector<PathLpSession::DemandSpec>& demands, int split_index,
     graph::NodeId via);
 
+/// One-shot LP on a borrowed snapshot; the routable network is the view's
+/// edges with positive capacity (see PathLp's borrowed-view constructor).
 /// Returns dx in [0, demands[split_index].amount]; 0 when even the unsplit
-/// demand is not routable under the filter/capacities (ISP treats that as
-/// "pick a different candidate").
-double max_splittable_amount(const graph::Graph& g,
-                             const std::vector<Demand>& demands,
-                             int split_index, graph::NodeId via,
-                             const graph::EdgeFilter& edge_ok,
-                             const graph::EdgeWeight& capacity,
-                             const PathLpOptions& options = {});
-
-/// Same LP on a borrowed (typically ViewCache-owned) snapshot; the routable
-/// network is the view's edges with positive capacity (see PathLp's
-/// borrowed-view constructor).
+/// demand is not routable (ISP treats that as "pick a different
+/// candidate").
 double max_splittable_amount(const graph::GraphView& view,
                              const std::vector<Demand>& demands,
                              int split_index, graph::NodeId via,

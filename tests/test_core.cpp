@@ -5,6 +5,7 @@
 #include "core/centrality.hpp"
 #include "core/problem.hpp"
 #include "core/repair_state.hpp"
+#include "graph/view.hpp"
 #include "mcf/routing.hpp"
 
 namespace netrec::core {
@@ -13,6 +14,16 @@ namespace {
 using graph::EdgeId;
 using graph::Graph;
 using graph::NodeId;
+
+/// Full-graph snapshot with `length` as metric and `capacity` as residual —
+/// what ISP hands demand_based_centrality.
+graph::GraphView metric_view(const Graph& g, graph::EdgeWeight length,
+                             graph::EdgeWeight capacity) {
+  graph::ViewConfig config;
+  config.length = std::move(length);
+  config.capacity = std::move(capacity);
+  return graph::GraphView::build(g, config);
+}
 
 Graph path_graph(int n, double capacity = 10.0) {
   Graph g;
@@ -65,7 +76,7 @@ TEST(Centrality, MiddleNodeDominatesOnPathGraph) {
   const std::vector<mcf::Demand> demands{{0, 4, 5.0}};
   auto ones = [](EdgeId) { return 1.0; };
   auto cap = mcf::static_capacity(g);
-  const auto c = demand_based_centrality(g, demands, ones, cap);
+  const auto c = demand_based_centrality(metric_view(g, ones, cap), demands);
   // Single path: every node on it receives the full demand share.
   for (NodeId v = 0; v <= 4; ++v) EXPECT_NEAR(c.score(v), 5.0, 1e-9);
   EXPECT_EQ(c.contributors(2).size(), 1u);
@@ -88,7 +99,7 @@ TEST(Centrality, SharedCorridorScoresHigherThanPrivateBranches) {
   const std::vector<mcf::Demand> demands{{0, 4, 5.0}, {1, 5, 5.0}};
   auto ones = [](EdgeId) { return 1.0; };
   auto cap = mcf::static_capacity(g);
-  const auto c = demand_based_centrality(g, demands, ones, cap);
+  const auto c = demand_based_centrality(metric_view(g, ones, cap), demands);
   EXPECT_NEAR(c.score(2), 10.0, 1e-9);  // both demands
   EXPECT_NEAR(c.score(3), 10.0, 1e-9);
   EXPECT_NEAR(c.score(0), 5.0, 1e-9);  // own demand only
@@ -110,7 +121,7 @@ TEST(Centrality, SplitsShareAcrossParallelPaths) {
   const std::vector<mcf::Demand> demands{{0, 3, 12.0}};
   auto ones = [](EdgeId) { return 1.0; };
   auto cap = mcf::static_capacity(g);
-  const auto c = demand_based_centrality(g, demands, ones, cap);
+  const auto c = demand_based_centrality(metric_view(g, ones, cap), demands);
   EXPECT_NEAR(c.score(1), 9.0, 1e-9);   // 9/12 of 12
   EXPECT_NEAR(c.score(2), 3.0, 1e-9);   // 3/12 of 12
   EXPECT_NEAR(c.score(0), 12.0, 1e-9);  // endpoint on both paths
@@ -133,7 +144,7 @@ TEST(Centrality, DynamicMetricSteersAwayFromExpensiveRepairs) {
   };
   auto cap = mcf::static_capacity(g);
   const std::vector<mcf::Demand> demands{{0, 3, 5.0}};
-  const auto c = demand_based_centrality(g, demands, metric, cap);
+  const auto c = demand_based_centrality(metric_view(g, metric, cap), demands);
   EXPECT_NEAR(c.score(1), 5.0, 1e-9);  // detour carries everything
   EXPECT_EQ(c.contributors(1).size(), 1u);
 }

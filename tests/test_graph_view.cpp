@@ -1,10 +1,12 @@
 // GraphView equivalence and contract tests.
 //
-// The CSR snapshot layer promises bit-identical outputs to the preserved
-// std::function reference implementations (graph::legacy::*).  These are
-// seeded property tests over random Erdős–Rényi draws and the Bell-Canada
-// topology, always with a random subset of elements broken so the usability
-// filters actually filter; every comparison is exact (==), not approximate.
+// The CSR snapshot layer promises bit-identical outputs to the test-only
+// std::function reference kernels in tests/oracle (netrec::oracle).  These
+// are seeded property tests over random Erdős–Rényi draws and the
+// Bell-Canada topology, always with a random subset of elements broken so
+// the usability filters actually filter; every comparison is exact (==),
+// not approximate.  Each test runs the oracle on callbacks and the library
+// kernel on a GraphView built from the same callbacks.
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -17,6 +19,7 @@
 #include "graph/simple_paths.hpp"
 #include "graph/traversal.hpp"
 #include "graph/view.hpp"
+#include "oracle/oracle.hpp"
 #include "topology/generator.hpp"
 #include "util/rng.hpp"
 
@@ -61,6 +64,18 @@ graph::EdgeWeight test_length() {
   };
 }
 
+/// Snapshot of `g` under the given callbacks — what the kernels consume.
+graph::GraphView view_of(const graph::Graph& g, graph::EdgeFilter edge_ok,
+                         graph::NodeFilter node_ok, graph::EdgeWeight length,
+                         graph::EdgeWeight capacity = {}) {
+  graph::ViewConfig config;
+  config.edge_ok = std::move(edge_ok);
+  config.node_ok = std::move(node_ok);
+  config.length = std::move(length);
+  config.capacity = std::move(capacity);
+  return graph::GraphView::build(g, config);
+}
+
 void expect_same_tree(const graph::ShortestPathTree& a,
                       const graph::ShortestPathTree& b) {
   ASSERT_EQ(a.distance.size(), b.distance.size());
@@ -77,11 +92,12 @@ void check_dijkstra_equivalence(const graph::Graph& g) {
   const auto node_ok = [&g](graph::NodeId n) { return !g.node_broken(n); };
   for (graph::NodeId s = 0; s < static_cast<graph::NodeId>(g.num_nodes());
        s += 7) {
-    expect_same_tree(graph::legacy::dijkstra(g, s, length, edge_ok, node_ok),
-                     graph::dijkstra(g, s, length, edge_ok, node_ok));
+    expect_same_tree(
+        oracle::dijkstra(g, s, length, edge_ok, node_ok),
+        graph::dijkstra(view_of(g, edge_ok, node_ok, length), s));
     // Filter-free variant exercises the full graph.
-    expect_same_tree(graph::legacy::dijkstra(g, s, length),
-                     graph::dijkstra(g, s, length));
+    expect_same_tree(oracle::dijkstra(g, s, length),
+                     graph::dijkstra(view_of(g, {}, {}, length), s));
   }
 }
 
@@ -103,8 +119,9 @@ TEST(GraphViewWidestPath, BitIdenticalToLegacy) {
     const auto capacity = [&g](graph::EdgeId e) { return g.edge_capacity(e); };
     const auto edge_ok = graph::working_edge_filter(g);
     const auto t = static_cast<graph::NodeId>(g.num_nodes() - 1);
-    const auto a = graph::legacy::widest_path(g, 0, t, capacity, edge_ok);
-    const auto b = graph::widest_path(g, 0, t, capacity, edge_ok);
+    const auto a = oracle::widest_path(g, 0, t, capacity, edge_ok);
+    const auto b =
+        graph::widest_path(view_of(g, edge_ok, {}, {}, capacity), 0, t);
     ASSERT_EQ(a.has_value(), b.has_value());
     if (a) {
       EXPECT_EQ(a->start, b->start);
@@ -118,8 +135,9 @@ TEST(GraphViewBetweenness, BitIdenticalToLegacyOnRandomEr) {
     const graph::Graph g = broken_er(seed);
     const auto length = test_length();
     const auto edge_ok = graph::working_edge_filter(g);
-    const auto a = graph::legacy::betweenness_centrality(g, length, edge_ok);
-    const auto b = graph::betweenness_centrality(g, length, edge_ok);
+    const auto a = oracle::betweenness_centrality(g, length, edge_ok);
+    const auto b =
+        graph::betweenness_centrality(view_of(g, edge_ok, {}, length));
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i], b[i]) << "betweenness mismatch at node " << i;
@@ -132,10 +150,10 @@ TEST(GraphViewBetweenness, BitIdenticalToLegacyOnBellCanada) {
     const graph::Graph g = broken_bell_canada(seed);
     const auto length = test_length();
     const auto node_ok = [&g](graph::NodeId n) { return !g.node_broken(n); };
-    const auto a = graph::legacy::betweenness_centrality(
+    const auto a = oracle::betweenness_centrality(
         g, length, graph::working_edge_filter(g), node_ok);
     const auto b = graph::betweenness_centrality(
-        g, length, graph::working_edge_filter(g), node_ok);
+        view_of(g, graph::working_edge_filter(g), node_ok, length));
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i], b[i]) << "betweenness mismatch at node " << i;
@@ -150,9 +168,9 @@ TEST(GraphViewMaxflow, BitIdenticalToLegacy) {
     const auto edge_ok = graph::working_edge_filter(g);
     const auto node_ok = [&g](graph::NodeId n) { return !g.node_broken(n); };
     const auto t = static_cast<graph::NodeId>(g.num_nodes() - 1);
-    const auto a = graph::legacy::max_flow(g, 0, t, capacity, edge_ok,
-                                           node_ok);
-    const auto b = graph::max_flow(g, 0, t, capacity, edge_ok, node_ok);
+    const auto a = oracle::max_flow(g, 0, t, capacity, edge_ok, node_ok);
+    const auto b =
+        graph::max_flow(view_of(g, edge_ok, node_ok, {}, capacity), 0, t);
     EXPECT_EQ(a.value, b.value);
     ASSERT_EQ(a.edge_flow.size(), b.edge_flow.size());
     for (std::size_t e = 0; e < a.edge_flow.size(); ++e) {
@@ -163,8 +181,8 @@ TEST(GraphViewMaxflow, BitIdenticalToLegacy) {
 }
 
 TEST(GraphViewSuccessivePaths, BitIdenticalToLegacyComposition) {
-  // Replicates the historical successive-shortest-paths loop with
-  // legacy::dijkstra and compares the selected paths and capacities.
+  // Replicates the successive-shortest-paths loop with oracle::dijkstra and
+  // compares the selected paths and capacities.
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const graph::Graph g = broken_er(seed);
     const auto length = test_length();
@@ -186,7 +204,7 @@ TEST(GraphViewSuccessivePaths, BitIdenticalToLegacyComposition) {
         return edge_ok(e);
       };
       auto path =
-          graph::legacy::dijkstra(g, 0, length, usable).path_to(g, t);
+          oracle::dijkstra(g, 0, length, usable).path_to(g, t);
       if (!path) break;
       double cap = std::numeric_limits<double>::infinity();
       for (graph::EdgeId e : path->edges) {
@@ -202,7 +220,7 @@ TEST(GraphViewSuccessivePaths, BitIdenticalToLegacyComposition) {
     }
 
     const auto actual = graph::successive_shortest_paths(
-        g, 0, t, demand, length, capacity, edge_ok);
+        view_of(g, edge_ok, {}, length, capacity), 0, t, demand);
     ASSERT_EQ(expected.paths.size(), actual.paths.size());
     EXPECT_EQ(expected.total_capacity, actual.total_capacity);
     for (std::size_t p = 0; p < expected.paths.size(); ++p) {
@@ -273,9 +291,9 @@ TEST(GraphValidation, WidestPathRejectsNaNAndNegativeCapacity) {
   EXPECT_THROW(
       graph::widest_path(g, 0, 2, [](graph::EdgeId) { return -1.0; }),
       std::invalid_argument);
-  EXPECT_THROW(graph::legacy::widest_path(
-                   g, 0, 2, [nan](graph::EdgeId) { return nan; }),
-               std::invalid_argument);
+  EXPECT_THROW(
+      oracle::widest_path(g, 0, 2, [nan](graph::EdgeId) { return nan; }),
+      std::invalid_argument);
   // Valid capacities still work.
   const auto path =
       graph::widest_path(g, 0, 2, [](graph::EdgeId) { return 5.0; });

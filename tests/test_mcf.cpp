@@ -9,6 +9,7 @@
 #include <cmath>
 
 #include "graph/maxflow.hpp"
+#include "graph/view.hpp"
 #include "mcf/broken_usage.hpp"
 #include "mcf/routing.hpp"
 #include "mcf/split.hpp"
@@ -148,6 +149,12 @@ TEST(Routing, ZeroAndSelfDemandsAreTriviallyRoutable) {
 
 // --- split LP -------------------------------------------------------------
 
+graph::GraphView capacity_view(const Graph& g, graph::EdgeWeight capacity) {
+  graph::ViewConfig config;
+  config.capacity = std::move(capacity);
+  return graph::GraphView::build(g, config);
+}
+
 TEST(Split, FullSplitWhenViaOnOnlyPath) {
   // 0-1-2 path; splitting (0,2) on node 1 must allow the full demand.
   Graph g;
@@ -156,7 +163,8 @@ TEST(Split, FullSplitWhenViaOnOnlyPath) {
   g.add_edge(1, 2, 10.0);
   auto cap = static_capacity(g);
   const std::vector<Demand> demands{Demand{0, 2, 8.0}};
-  EXPECT_NEAR(max_splittable_amount(g, demands, 0, 1, {}, cap), 8.0, 1e-6);
+  EXPECT_NEAR(max_splittable_amount(capacity_view(g, cap), demands, 0, 1), 8.0,
+              1e-6);
 }
 
 TEST(Split, LimitedByViaCapacity) {
@@ -170,7 +178,8 @@ TEST(Split, LimitedByViaCapacity) {
   g.add_edge(2, 3, 10.0);
   auto cap = static_capacity(g);
   const std::vector<Demand> demands{Demand{0, 3, 12.0}};
-  EXPECT_NEAR(max_splittable_amount(g, demands, 0, 1, {}, cap), 4.0, 1e-6);
+  EXPECT_NEAR(max_splittable_amount(capacity_view(g, cap), demands, 0, 1), 4.0,
+              1e-6);
 }
 
 TEST(Split, RespectsOtherDemandsRoutability) {
@@ -187,7 +196,7 @@ TEST(Split, RespectsOtherDemandsRoutability) {
   // (0,2) can use 0-1-2 (10) and 0-3-2 (10).  Forcing dx through node 1
   // fights with (0,1)=6 on edge 0-1: dx <= 4 via 0-1 plus nothing else ...
   // the LP may route the (0,1) demand the long way (0-3-2-1), freeing 0-1.
-  const double dx = max_splittable_amount(g, demands, 0, 1, {}, cap);
+  const double dx = max_splittable_amount(capacity_view(g, cap), demands, 0, 1);
   EXPECT_GE(dx, 4.0 - 1e-6);
   EXPECT_LE(dx, 10.0 + 1e-6);
   // Whatever dx was chosen, the split instance must remain routable.
@@ -204,7 +213,8 @@ TEST(Split, ZeroWhenInstanceUnroutable) {
   g.add_edge(1, 2, 1.0);
   auto cap = static_capacity(g);
   const std::vector<Demand> demands{Demand{0, 2, 5.0}};  // cap is only 1
-  EXPECT_NEAR(max_splittable_amount(g, demands, 0, 1, {}, cap), 0.0, 1e-6);
+  EXPECT_NEAR(max_splittable_amount(capacity_view(g, cap), demands, 0, 1), 0.0,
+              1e-6);
 }
 
 // --- eq. (8) relaxation ----------------------------------------------------

@@ -228,7 +228,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BetweennessThreadsBellCanada,
 // --- batched demand-based centrality ---------------------------------------
 
 void expect_centrality_thread_invariant(const core::RecoveryProblem& p,
-                                        bool share_source_trees,
                                         const std::string& label) {
   SCOPED_TRACE(label);
   graph::ViewConfig config;
@@ -237,7 +236,6 @@ void expect_centrality_thread_invariant(const core::RecoveryProblem& p,
   };
   const graph::GraphView view = graph::GraphView::build(p.graph, config);
   core::CentralityOptions copt;
-  copt.share_source_trees = share_source_trees;
   const core::CentralityResult serial =
       core::demand_based_centrality(view, p.demands, copt);
   for (const std::size_t threads : kThreadCounts) {
@@ -270,14 +268,10 @@ class CentralityThreads : public ::testing::TestWithParam<int> {};
 
 TEST_P(CentralityThreads, BitIdenticalAtAnyThreadCount) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
-  for (const bool share : {false, true}) {
-    const std::string mode = share ? " shared-trees" : " plain";
-    expect_centrality_thread_invariant(
-        er_scenario(seed), share, "er seed " + std::to_string(seed) + mode);
-    expect_centrality_thread_invariant(
-        bell_canada_scenario(seed), share,
-        "bell-canada seed " + std::to_string(seed) + mode);
-  }
+  expect_centrality_thread_invariant(er_scenario(seed),
+                                     "er seed " + std::to_string(seed));
+  expect_centrality_thread_invariant(
+      bell_canada_scenario(seed), "bell-canada seed " + std::to_string(seed));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CentralityThreads, ::testing::Range(1, 5));
@@ -359,18 +353,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IspThreadsBellCanada, ::testing::Range(1, 6));
 
 TEST(IspThreadsOptions, VariantEnginePathsStayThreadInvariant) {
   // The kernels sit behind different engine paths depending on options:
-  // classic betweenness exercises the parallel Brandes ranking, kNone
-  // reuse the one-shot LP path (centrality still pools), empty seed pools
-  // force pricing to derive every column.  Each must be thread-invariant.
+  // classic betweenness exercises the parallel Brandes ranking, empty seed
+  // pools force pricing to derive every column, lazy capacity rows append
+  // rows mid-solve.  Each must be thread-invariant.
   {
     core::IspOptions o;
     o.use_classic_betweenness = true;
     expect_isp_thread_invariant(er_scenario(301), o, "classic-betweenness");
-  }
-  {
-    core::IspOptions o;
-    o.lp_reuse = mcf::LpReuse::kNone;
-    expect_isp_thread_invariant(er_scenario(302), o, "lp-reuse-none");
   }
   {
     core::IspOptions o;
