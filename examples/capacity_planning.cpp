@@ -72,10 +72,8 @@ int main(int argc, char** argv) {
   problem.demands.push_back(mcf::Demand{winnipeg, halifax, surge});
   std::printf("\nsurge demand: Winnipeg <-> Halifax, %.0f units\n", surge);
 
-  const auto cap = mcf::static_capacity(g);
-  const auto working = graph::working_edge_filter(g);
   const auto baseline =
-      mcf::max_routed_flow(g, problem.demands, working, cap);
+      mcf::max_routed_flow(graph::GraphView::working(g), problem.demands);
   std::printf("existing network carries %.0f / %.0f units\n",
               baseline.total_routed, surge);
   if (baseline.fully_routed) {

@@ -298,15 +298,10 @@ class Engine {
     auto paths = graph::decompose_flow(g_, dem.source, dem.target,
                                        flow.edge_flow);
     double remaining = k;
-    for (auto& [path, amount] : paths) {
+    for (const auto& [path, amount] : paths) {
       if (remaining <= kEps) break;
       const double take = std::min(amount, remaining);
       for (graph::EdgeId e : path.edges) consume_residual(e, take);
-      mcf::PathFlow pf;
-      pf.demand_index = dem.origin;
-      pf.path = std::move(path);
-      pf.amount = take;
-      pruned_flows_.push_back(std::move(pf));
       remaining -= take;
     }
     const double pruned = k - remaining;
@@ -682,10 +677,6 @@ class Engine {
     return repaired || result.routing.fully_routed;
   }
 
-  const std::vector<mcf::PathFlow>& pruned_flows() const {
-    return pruned_flows_;
-  }
-
   std::vector<DynDemand> demands_;
 
  private:
@@ -696,7 +687,6 @@ class Engine {
   RepairState state_;
   std::vector<double> residual_;
   std::vector<double> jitter_;
-  std::vector<mcf::PathFlow> pruned_flows_;
   /// RepairState publishes repairs into the cache and consume_residual
   /// publishes capacity updates.
   graph::ViewCache cache_;

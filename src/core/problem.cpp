@@ -9,8 +9,7 @@
 namespace netrec::core {
 
 bool RecoveryProblem::feasible_when_fully_repaired() const {
-  return mcf::is_routable(graph, demands, /*edge_ok=*/{},
-                          mcf::static_capacity(graph));
+  return mcf::is_routable(graph::GraphView::build(graph), demands);
 }
 
 void score_solution(const RecoveryProblem& problem,
@@ -25,9 +24,7 @@ void score_solution(const RecoveryProblem& problem,
     state.repair_edge(e);
     solution.repair_cost += problem.graph.edge_repair_cost(e);
   }
-  solution.routing = mcf::max_routed_flow(
-      problem.graph, problem.demands, state.edge_filter(),
-      mcf::static_capacity(problem.graph));
+  solution.routing = mcf::max_routed_flow(state.view(), problem.demands);
   const double total = problem.total_demand();
   solution.satisfied_fraction =
       total > 0.0 ? solution.routing.total_routed / total : 1.0;
@@ -58,9 +55,12 @@ std::string validate_solution(const RecoveryProblem& problem,
   for (graph::NodeId n : solution.repaired_nodes) state.repair_node(n);
   for (graph::EdgeId e : solution.repaired_edges) state.repair_edge(e);
 
+  const auto static_capacity = [&problem](graph::EdgeId e) {
+    return problem.graph.edge_capacity(e);
+  };
   if (!mcf::routing_is_valid(problem.graph, problem.demands,
                              solution.routing.flows, state.edge_filter(),
-                             mcf::static_capacity(problem.graph))) {
+                             static_capacity)) {
     return "routing invalid on the repaired subgraph";
   }
   const double total = problem.total_demand();

@@ -53,8 +53,10 @@ graph::EdgeFilter RepairState::edge_filter() const {
   return [this](graph::EdgeId e) { return edge_ok(e); };
 }
 
-graph::NodeFilter RepairState::node_filter() const {
-  return [this](graph::NodeId n) { return node_ok(n); };
+graph::GraphView RepairState::view() const {
+  graph::ViewConfig config;
+  config.edge_ok = edge_filter();
+  return graph::GraphView::build(g_, config);
 }
 
 }  // namespace netrec::core

@@ -9,6 +9,7 @@
 
 #include "graph/graph.hpp"
 #include "graph/path.hpp"
+#include "graph/view.hpp"
 
 namespace netrec::graph {
 class ViewCache;
@@ -46,9 +47,13 @@ class RepairState {
   /// Edge usable: itself and both endpoints working-or-repaired (E(n)).
   bool edge_ok(graph::EdgeId e) const;
 
-  /// Filter adapters for the graph algorithms.
+  /// Filter adapter for the graph algorithms.
   graph::EdgeFilter edge_filter() const;
-  graph::NodeFilter node_filter() const;
+
+  /// Snapshot of the working-or-repaired subgraph under the current
+  /// repairs: edge_filter(), unit lengths, static capacities.  Stale after
+  /// the next repair.
+  graph::GraphView view() const;
 
   /// Repair lists in the order the decisions were made.
   const std::vector<graph::NodeId>& repaired_nodes() const {

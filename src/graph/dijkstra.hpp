@@ -1,16 +1,14 @@
 // Dijkstra shortest paths with pluggable (dynamic) edge lengths.
 //
 // ISP's path metric (Section IV-D) changes every iteration — repaired
-// elements become "short", pruned capacity raises lengths — so lengths are a
-// callback rather than stored weights.  The same routine also serves column-
+// elements become "short", pruned capacity raises lengths — so lengths are
+// flattened into a GraphView per round (or passed as a per-edge-id array)
+// rather than stored on the graph.  The same routine also serves column-
 // generation pricing in the MCF solver (lengths = simplex duals).
 //
-// Two call families exist.  The GraphView overloads are the hot path: they
-// traverse a flat CSR snapshot with no per-edge indirection and are what the
-// algorithm consumers use.  The callback overloads keep the historical
-// signatures as thin wrappers that materialise a view.  The test-only
-// oracle library (tests/oracle) holds independent callback implementations
-// the view path is diffed against.
+// Every entry point traverses a flat CSR snapshot with no per-edge
+// indirection.  The test-only oracle library (tests/oracle) holds
+// independent callback implementations the view path is diffed against.
 #pragma once
 
 #include <optional>
@@ -33,8 +31,6 @@ struct ShortestPathTree {
   std::optional<Path> path_to(const Graph& g, NodeId target) const;
 };
 
-// --- view-based (hot path) -------------------------------------------------
-
 /// Dijkstra from `source` over the view, using the view's edge lengths.
 /// Lengths must be >= 0 and not NaN for every traversed edge
 /// (std::invalid_argument at first encounter).
@@ -47,8 +43,8 @@ ShortestPathTree dijkstra(const GraphView& view, NodeId source,
                           const std::vector<double>& edge_length);
 
 /// Caller-supplied lengths *and* a residual skip (entries <= 1e-9 are not
-/// traversed) — the pricing loop of a PathLp running on a borrowed cached
-/// view, whose arcs may include zero-capacity edges.
+/// traversed) — the pricing loop of PathLp, whose (often cached) view may
+/// keep zero-capacity edges as arcs.
 ShortestPathTree dijkstra(const GraphView& view, NodeId source,
                           const std::vector<double>& edge_length,
                           const std::vector<double>& edge_residual);
@@ -86,29 +82,5 @@ std::optional<Path> shortest_path(const GraphView& view, NodeId source,
 /// Capacities must be >= 0 and not NaN (std::invalid_argument otherwise).
 std::optional<Path> widest_path(const GraphView& view, NodeId source,
                                 NodeId target);
-
-// --- callback wrappers (historical signatures) -----------------------------
-
-/// Runs Dijkstra from `source`.  `length` must be >= 0 for every usable edge
-/// (negative or NaN lengths throw std::invalid_argument at first encounter).
-/// Materialises a GraphView; prefer the view overloads in loops.
-ShortestPathTree dijkstra(const Graph& g, NodeId source,
-                          const EdgeWeight& length,
-                          const EdgeFilter& edge_ok = {},
-                          const NodeFilter& node_ok = {});
-
-/// Shortest path source -> target, or nullopt if disconnected.
-std::optional<Path> shortest_path(const Graph& g, NodeId source,
-                                  NodeId target, const EdgeWeight& length,
-                                  const EdgeFilter& edge_ok = {},
-                                  const NodeFilter& node_ok = {});
-
-/// Widest (maximum-bottleneck-capacity) path source -> target under the
-/// capacity view; used by greedy routing pre-passes.  Negative or NaN
-/// capacities throw std::invalid_argument at first encounter.
-std::optional<Path> widest_path(const Graph& g, NodeId source, NodeId target,
-                                const EdgeWeight& capacity,
-                                const EdgeFilter& edge_ok = {},
-                                const NodeFilter& node_ok = {});
 
 }  // namespace netrec::graph

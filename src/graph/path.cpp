@@ -26,15 +26,17 @@ std::vector<NodeId> Path::nodes(const Graph& g) const {
   return out;
 }
 
-double Path::capacity(const EdgeWeight& edge_capacity) const {
+double Path::capacity(const std::vector<double>& edge_capacity) const {
   double cap = std::numeric_limits<double>::infinity();
-  for (EdgeId e : edges) cap = std::min(cap, edge_capacity(e));
+  for (EdgeId e : edges) {
+    cap = std::min(cap, edge_capacity[static_cast<std::size_t>(e)]);
+  }
   return cap;
 }
 
-double Path::length(const EdgeWeight& edge_length) const {
+double Path::length(const std::vector<double>& edge_length) const {
   double total = 0.0;
-  for (EdgeId e : edges) total += edge_length(e);
+  for (EdgeId e : edges) total += edge_length[static_cast<std::size_t>(e)];
   return total;
 }
 

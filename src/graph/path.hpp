@@ -1,8 +1,9 @@
 // Path representation shared by routing, centrality and the heuristics.
 //
 // A path is an ordered edge list plus its start node; node order is derived.
-// Capacity(p) = min edge capacity (paper Section IV-B); length is computed
-// against a caller-supplied metric because ISP's metric is dynamic (IV-D).
+// Capacity(p) = min edge capacity (paper Section IV-B); capacity and length
+// read caller-supplied per-edge arrays because ISP's residual capacities and
+// metric are dynamic (IV-D).
 #pragma once
 
 #include <string>
@@ -25,12 +26,13 @@ struct Path {
   /// Ordered node sequence start..end (hop_count()+1 entries).
   std::vector<NodeId> nodes(const Graph& g) const;
 
-  /// Bottleneck capacity with a caller-supplied capacity view (residual
-  /// capacities differ from the static ones during ISP).  Empty path -> +inf.
-  double capacity(const EdgeWeight& edge_capacity) const;
+  /// Bottleneck of `edge_capacity` (indexed by edge id) over the path —
+  /// pass Graph::edge_capacities() for static capacities, or a residual
+  /// array during routing.  Empty path -> +inf.
+  double capacity(const std::vector<double>& edge_capacity) const;
 
-  /// Sum of metric over edges.
-  double length(const EdgeWeight& edge_length) const;
+  /// Sum of `edge_length` (indexed by edge id) over the path.
+  double length(const std::vector<double>& edge_length) const;
 
   /// True if no node repeats (the paper considers acyclic paths only).
   bool is_simple(const Graph& g) const;

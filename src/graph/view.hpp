@@ -1,26 +1,27 @@
 // Immutable CSR snapshot of a Graph under a filter/weight configuration.
 //
-// Every traversal in the reproduction (Dijkstra, widest path, Brandes
-// betweenness, Dinic max flow, the MCF pricing loop) historically paid a
-// std::function call per edge for EdgeFilter / NodeFilter / EdgeWeight,
-// re-evaluating usability and lengths that are constant for the duration of
-// an algorithm round.  GraphView::build flattens the configured subgraph
-// once, in O(V + E), into four parallel arrays (CSR offsets / arc targets /
-// arc edge ids / arc weights) plus node and edge usability bitsets; the
-// view-based algorithm overloads in graph/dijkstra.hpp, graph/traversal.hpp,
-// graph/betweenness.hpp, graph/maxflow.hpp and graph/simple_paths.hpp then
-// run on flat memory with zero per-edge indirection.
+// GraphView is the one graph API of the algorithm layer: every traversal
+// (Dijkstra, widest path, Brandes betweenness, Dinic max flow, simple-path
+// enumeration, the MCF routing and pricing loops) takes a view.  Filters
+// and weights are constant for the duration of an algorithm round, so
+// GraphView::build evaluates the ViewConfig callbacks once, in O(V + E),
+// into four parallel arrays (CSR offsets / arc targets / arc edge ids / arc
+// weights) plus node and edge usability bitsets; the kernels in
+// graph/dijkstra.hpp, graph/traversal.hpp, graph/betweenness.hpp,
+// graph/maxflow.hpp, graph/simple_paths.hpp and mcf/routing.hpp then run on
+// flat memory with zero per-edge indirection.
 //
-// Arc semantics match the callback algorithms exactly: the directed arc
-// u -> v of edge e is present iff edge_ok(e) passes and node_ok(v) passes.
-// Only the *head* endpoint is node-filtered — precisely the check the
-// legacy traversals apply — so a node excluded by the filter can still act
-// as a traversal source (its outgoing arcs exist) but is never reached
-// (arcs into it are dropped).  edge_in_view() additionally requires both
-// endpoints, which is the per-edge test the flow/LP layers use.  Arcs of a
-// node appear in the graph's adjacency (insertion) order, so view-based
-// algorithms settle ties in the same order as the callback path and produce
-// bit-identical distances, parents, scores and flows.
+// Arc semantics match the reference callback kernels in tests/oracle
+// exactly: the directed arc u -> v of edge e is present iff edge_ok(e)
+// passes and node_ok(v) passes.  Only the *head* endpoint is node-filtered
+// — precisely the check the reference traversals apply — so a node
+// excluded by the filter can still act as a traversal source (its outgoing
+// arcs exist) but is never reached (arcs into it are dropped).
+// edge_in_view() additionally requires both endpoints, which is the
+// per-edge test the flow/LP layers use.  Arcs of a node appear in the
+// graph's adjacency (insertion) order, so the kernels settle ties in the
+// same order as the reference kernels and produce bit-identical distances,
+// parents, scores and flows.
 //
 // Immutability / invalidation contract:
 //   * A GraphView is immutable through its public interface; all accessors
@@ -38,7 +39,7 @@
 //     build time and never retained by the view itself, so temporaries may
 //     be passed freely (a ViewCache *does* retain its configs; see there).
 //     Weights are evaluated only for edges passing edge_ok, matching the
-//     callback algorithms' promise to consult weights on usable edges only.
+//     reference kernels' promise to consult weights on usable edges only.
 #pragma once
 
 #include <array>

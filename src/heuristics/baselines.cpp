@@ -86,7 +86,6 @@ std::vector<RankedPath> build_path_pool(const core::RecoveryProblem& problem,
   graph::SimplePathLimits limits;
   limits.max_paths = options.max_paths_per_pair;
   limits.max_hops = options.max_hops;
-  const auto cap = mcf::static_capacity(g);
   // The pool enumerates the *full* graph (broken elements included); one
   // snapshot serves every demand pair's DFS.
   const graph::GraphView view = graph::GraphView::build(g);
@@ -104,7 +103,7 @@ std::vector<RankedPath> build_path_pool(const core::RecoveryProblem& problem,
       for (graph::EdgeId e : p.edges) {
         if (g.edge_broken(e)) cost += g.edge_repair_cost(e);
       }
-      const double capacity = p.capacity(cap);
+      const double capacity = p.capacity(g.edge_capacities());
       if (capacity <= kEps) continue;
       pool.push_back(RankedPath{h, std::move(p), cost / capacity});
     }
@@ -131,24 +130,14 @@ core::RecoverySolution solve_grd_com(const core::RecoveryProblem& problem,
   for (std::size_t h = 0; h < problem.demands.size(); ++h) {
     remaining[h] = problem.demands[h].amount;
   }
-  std::vector<double> residual(g.num_edges());
-  for (std::size_t e = 0; e < g.num_edges(); ++e) {
-    residual[e] = g.edge_capacity(static_cast<graph::EdgeId>(e));
-  }
-  auto residual_view = [&](graph::EdgeId e) {
-    return residual[static_cast<std::size_t>(e)];
-  };
+  std::vector<double> residual = g.edge_capacities();
   auto total_remaining = [&]() {
     return std::accumulate(remaining.begin(), remaining.end(), 0.0);
   };
   // Snapshot of the working-or-repaired subgraph; rebuilt after each repair
   // (state changes only there), while the residual capacities mutate freely
   // between the per-demand flow calls.
-  graph::ViewConfig working_config;
-  working_config.edge_ok = [&state](graph::EdgeId e) {
-    return state.edge_ok(e);
-  };
-  graph::GraphView working_view = graph::GraphView::build(g, working_config);
+  graph::GraphView working_view = state.view();
   // Routes as much of demand k as possible on the current repaired network.
   auto route_max = [&](std::size_t k) {
     if (remaining[k] <= kEps) return;
@@ -175,8 +164,8 @@ core::RecoverySolution solve_grd_com(const core::RecoveryProblem& problem,
     if (remaining[ranked.demand] <= kEps) continue;
     // Repair the path, then commit the demand it was enumerated for.
     state.repair_path(ranked.path);
-    working_view = graph::GraphView::build(g, working_config);
-    const double capacity = ranked.path.capacity(residual_view);
+    working_view = state.view();
+    const double capacity = ranked.path.capacity(residual);
     const double assign = std::min(remaining[ranked.demand], capacity);
     if (assign > kEps) {
       for (graph::EdgeId e : ranked.path.edges) {
@@ -202,7 +191,6 @@ core::RecoverySolution solve_grd_nc(const core::RecoveryProblem& problem,
   core::RepairState state(g);
 
   auto pool = build_path_pool(problem, options);
-  const auto cap = mcf::static_capacity(g);
   // Paths that change nothing (no new repairs) cannot change the routability
   // verdict, so the exact test only runs after an effective repair; that
   // bounds LP calls by the number of broken elements, not the pool size.
@@ -215,15 +203,12 @@ core::RecoverySolution solve_grd_nc(const core::RecoveryProblem& problem,
     }
     return false;
   };
-  bool routable =
-      mcf::is_routable(g, problem.demands, state.edge_filter(), cap,
-                       options.lp);
+  bool routable = mcf::is_routable(state.view(), problem.demands, options.lp);
   for (const RankedPath& ranked : pool) {
     if (routable) break;
     if (!adds_repair(ranked.path)) continue;
     state.repair_path(ranked.path);
-    routable = mcf::is_routable(g, problem.demands, state.edge_filter(), cap,
-                                options.lp);
+    routable = mcf::is_routable(state.view(), problem.demands, options.lp);
   }
   finish(problem, state, solution, timer);
   return solution;

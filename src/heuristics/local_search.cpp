@@ -24,7 +24,6 @@ core::RecoverySolution reduce_repairs(const core::RecoveryProblem& problem,
                                       const LocalSearchOptions& options) {
   util::Timer timer;
   const graph::Graph& g = problem.graph;
-  const auto cap = mcf::static_capacity(g);
 
   // Keep flags; start from the input repair set.
   std::vector<char> node_kept(g.num_nodes(), 0);
@@ -68,11 +67,13 @@ core::RecoverySolution reduce_repairs(const core::RecoveryProblem& problem,
       usable[static_cast<std::size_t>(e)] = edge_usable_now(e) ? 1 : 0;
     }
   };
-  auto edge_ok = [&](graph::EdgeId e) {
-    return usable[static_cast<std::size_t>(e)] != 0;
-  };
   auto routable = [&]() {
-    return mcf::is_routable(g, problem.demands, edge_ok, cap, options.lp);
+    graph::ViewConfig config;
+    config.edge_ok = [&](graph::EdgeId e) {
+      return usable[static_cast<std::size_t>(e)] != 0;
+    };
+    return mcf::is_routable(graph::GraphView::build(g, config),
+                            problem.demands, options.lp);
   };
 
   // Only meaningful when the input already satisfies the demand; otherwise

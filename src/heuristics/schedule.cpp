@@ -142,7 +142,7 @@ RecoverySchedule schedule_repairs(const core::RecoveryProblem& problem,
       if (deficit <= 1e-9 || d.source == d.target) continue;
       auto path = graph::shortest_path(available, d.source, d.target);
       if (!path) continue;
-      const double pending = path->length(pending_length);
+      const double pending = path->length(available.edge_lengths());
       const double ratio = deficit / (1.0 + pending);
       if (ratio > best_ratio) {
         best_ratio = ratio;

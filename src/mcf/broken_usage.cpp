@@ -21,8 +21,8 @@ graph::EdgeWeight broken_cost_view(const graph::Graph& g) {
 BrokenUsageResult min_broken_usage(const graph::Graph& g,
                                    const std::vector<Demand>& demands,
                                    const PathLpOptions& options) {
-  PathLp lp(g, demands, /*edge_ok=*/{},
-            [&g](graph::EdgeId e) { return g.edge_capacity(e); }, options);
+  const graph::GraphView view = graph::GraphView::build(g);
+  PathLp lp(view, demands, options);
   lp.set_min_cost(broken_cost_view(g));
   PathLpResult r = lp.solve();
   BrokenUsageResult result;
@@ -64,6 +64,7 @@ OptimalFaceBand explore_optimal_face(const graph::Graph& g,
   band.feasible = true;
 
   const auto base_cost = broken_cost_view(g);
+  const graph::GraphView view = graph::GraphView::build(g);
   const std::size_t base_repairs =
       implied_repairs(g, base.routing.flows).total();
   band.samples.push_back(base_repairs);
@@ -89,8 +90,7 @@ OptimalFaceBand explore_optimal_face(const graph::Graph& g,
                                   : rng.uniform(0.5, 1.0);
       }
     }
-    PathLp lp(g, demands, /*edge_ok=*/{},
-              [&g](graph::EdgeId e) { return g.edge_capacity(e); }, options);
+    PathLp lp(view, demands, options);
     lp.set_min_cost([&noise](graph::EdgeId e) {
       return noise[static_cast<std::size_t>(e)];
     });

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <optional>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -20,20 +19,11 @@ namespace {
 constexpr double kEps = 1e-9;
 }
 
-PathLp::PathLp(const graph::Graph& g, std::vector<Demand> demands,
-               graph::EdgeFilter edge_ok, graph::EdgeWeight capacity,
-               PathLpOptions options)
-    : g_(g),
-      user_demands_(std::move(demands)),
-      edge_ok_(std::move(edge_ok)),
-      capacity_(std::move(capacity)),
-      opt_(options) {}
-
 PathLp::PathLp(const graph::GraphView& view, std::vector<Demand> demands,
                PathLpOptions options)
     : g_(view.graph()),
+      view_(view),
       user_demands_(std::move(demands)),
-      borrowed_view_(&view),
       opt_(options) {}
 
 void PathLp::set_max_routed() {
@@ -84,30 +74,14 @@ PathLpResult PathLp::solve() {
   }
   const int n_demands = static_cast<int>(demands.size());
 
-  // CSR snapshot of the routable network for this solve: seeding and every
-  // pricing round run Dijkstra on it with flat per-edge arrays instead of
-  // std::function callbacks.  Borrowed-view mode reuses the caller's
-  // (typically ViewCache-owned) snapshot; otherwise one is built here.
-  // Default view lengths are the hop metric the seeds use; pricing passes
-  // its own per-round length array.
-  std::optional<graph::GraphView> owned_view;
-  if (!borrowed_view_) {
-    graph::ViewConfig view_config;
-    view_config.edge_ok = edge_ok_;
-    view_config.capacity = capacity_;
-    owned_view = graph::GraphView::build(g_, view_config);
-  }
-  const graph::GraphView& view =
-      borrowed_view_ ? *borrowed_view_ : *owned_view;
-  // An edge is in the routable network iff it is in the view and — in
-  // borrowed mode, whose cached arcs keep drained edges — carries positive
-  // capacity.  An owned view's filter already encoded the caller's network.
+  // Seeding and every pricing round run Dijkstra on the view's flat CSR
+  // arrays.  The view's lengths are the hop metric the seeds use; pricing
+  // passes its own per-round length array.  An edge is in the routable
+  // network iff it is in the view and carries positive capacity (cached
+  // views keep drained edges as arcs).
+  const graph::GraphView& view = view_;
   auto edge_usable = [&](graph::EdgeId id) {
-    if (!view.edge_in_view(id)) return false;
-    return borrowed_view_ == nullptr || view.edge_capacity(id) > kEps;
-  };
-  auto edge_cap = [&](graph::EdgeId id) {
-    return borrowed_view_ ? view.edge_capacity(id) : capacity_(id);
+    return view.edge_in_view(id) && view.edge_capacity(id) > kEps;
   };
 
   // --- master model ------------------------------------------------------
@@ -166,7 +140,7 @@ PathLpResult PathLp::solve() {
   std::vector<int> capacity_row(g_.num_edges(), -1);
   auto add_capacity_row = [&](graph::EdgeId e) {
     capacity_row[static_cast<std::size_t>(e)] =
-        model.add_constraint(lp::Sense::kLessEqual, edge_cap(e));
+        model.add_constraint(lp::Sense::kLessEqual, view.edge_capacity(e));
   };
   if (eager) {
     for (std::size_t e = 0; e < g_.num_edges(); ++e) {
@@ -240,7 +214,7 @@ PathLpResult PathLp::solve() {
 
   // Seed columns: a few successive shortest (by hops) paths per demand.
   // (successive_shortest_paths tracks residuals from the view capacities,
-  // so drained arcs of a borrowed view are skipped from the first path.)
+  // so drained arcs are skipped from the first path.)
   for (int h = 0; h < n_demands; ++h) {
     const Demand& d = demands[static_cast<std::size_t>(h)];
     if (d.source == d.target || d.amount <= kEps) continue;
@@ -277,7 +251,7 @@ PathLpResult PathLp::solve() {
       for (std::size_t e = 0; e < g_.num_edges(); ++e) {
         const auto id = static_cast<graph::EdgeId>(e);
         if (capacity_row[e] >= 0) continue;
-        if (load[e] > edge_cap(id) + opt_.tolerance) {
+        if (load[e] > view.edge_capacity(id) + opt_.tolerance) {
           add_capacity_row(id);
           for (const ColumnInfo& col : columns) {
             for (graph::EdgeId pe : col.path.edges) {
@@ -331,11 +305,9 @@ PathLpResult PathLp::solve() {
           (mode_ == PathLpMode::kMaxRouted ? 1.0 + y_h : y_h) -
           opt_.tolerance * 10.0;
       if (threshold <= 0.0) continue;  // no path can improve
-      // Borrowed views skip drained arcs (a filter-built view omits them).
-      auto tree = borrowed_view_
-                      ? graph::dijkstra(view, d.source, edge_weight,
-                                        view.edge_capacities())
-                      : graph::dijkstra(view, d.source, edge_weight);
+      // Drained arcs are skipped.
+      auto tree = graph::dijkstra(view, d.source, edge_weight,
+                                  view.edge_capacities());
       if (!tree.reached(d.target)) continue;
       if (tree.distance[static_cast<std::size_t>(d.target)] < threshold) {
         auto path = tree.path_to(g_, d.target);

@@ -71,21 +71,13 @@ struct PathLpResult {
 
 class PathLp {
  public:
-  /// `capacity` is consulted for usable edges only; `edge_ok` restricts the
-  /// network (typically to working-or-repaired elements, or the full graph
-  /// with residual capacities for ISP's invariant checks).
-  PathLp(const graph::Graph& g, std::vector<Demand> demands,
-         graph::EdgeFilter edge_ok, graph::EdgeWeight capacity,
-         PathLpOptions options = {});
-
-  /// Borrowed-view mode: seeds, capacity rows and pricing all run on `view`
-  /// (not owned; must outlive solve()) instead of materialising a snapshot.
-  /// The routable network is the view's edges with capacity > 1e-9 — cached
-  /// views keep drained edges as arcs and this constructor's solve path
-  /// skips them exactly where a filter-built view would omit them, so the
-  /// two constructions price and route bit-identically.  The view's lengths
-  /// must be the unit/hop metric (the callback constructor never configures
-  /// lengths).
+  /// Seeds, capacity rows and pricing all run on `view` (not owned; must
+  /// outlive solve()).  The view restricts the network (typically to
+  /// working-or-repaired elements, or the full graph with residual
+  /// capacities for ISP's invariant checks) and supplies the capacities.
+  /// The routable network is the view's edges with capacity > 1e-9 —
+  /// cached views keep drained edges as arcs, and solve() skips them.  The
+  /// view's lengths must be the unit/hop metric (the default ViewConfig).
   PathLp(const graph::GraphView& view, std::vector<Demand> demands,
          PathLpOptions options = {});
 
@@ -107,10 +99,8 @@ class PathLp {
   };
 
   const graph::Graph& g_;
+  const graph::GraphView& view_;
   std::vector<Demand> user_demands_;
-  graph::EdgeFilter edge_ok_;
-  graph::EdgeWeight capacity_;
-  const graph::GraphView* borrowed_view_ = nullptr;
   PathLpOptions opt_;
 
   PathLpMode mode_ = PathLpMode::kMaxRouted;

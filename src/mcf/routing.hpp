@@ -7,6 +7,14 @@
 // LP (PathLp, exact) decides the rest.  `max_routed_flow` is the referee
 // used to score demand loss for heuristics that cannot guarantee full
 // routing (SRT, GRD-COM).
+//
+// The (sub)graph and its capacities are a GraphView: GraphView::build(g) for
+// the full graph with static capacities, GraphView::working(g) for G(n), or
+// a ViewConfig carrying the caller's filter (e.g. RepairState::edge_filter)
+// or residual capacities.  The routable network is the view's edges with
+// capacity > 1e-9 — views cached across residual updates keep drained edges
+// as arcs, and every routine below skips them.  The view's lengths must be
+// the unit/hop metric (the default ViewConfig).
 #pragma once
 
 #include "graph/graph.hpp"
@@ -28,22 +36,16 @@ namespace netrec::mcf {
 bool is_routable(PathLpSession& session, const graph::GraphView& view,
                  const std::vector<PathLpSession::DemandSpec>& demands);
 
-// --- view-based (hot path) ---------------------------------------------------
-//
-// These overloads run on a borrowed (typically ViewCache-owned) snapshot
-// instead of materialising one per call.  The routable network is the
-// view's edges with capacity > 1e-9 — views cached across residual updates
-// keep drained edges as arcs, and every algorithm below skips them exactly
-// where the callback path's filter excluded them, so results are
-// bit-identical.  The view's lengths must be the unit/hop metric (the
-// callback entry points never configure lengths).
+// --- one-shot (view borrowed for the call) -----------------------------------
 
-/// Greedy sufficient check on a borrowed view; initial residuals are the
-/// view's capacities.
+/// Greedy sufficient check: routes demands one by one (largest first) with
+/// successive shortest paths on residual capacities, starting from the
+/// view's capacities.  fully_routed == true is a proof of routability;
+/// false proves nothing.
 RoutingResult greedy_route(const graph::GraphView& view,
                            const std::vector<Demand>& demands);
 
-/// Exact maximum total routed flow (PathLp on the borrowed view).
+/// Exact maximum total routed flow (LP optimum over all paths).
 RoutingResult max_routed_flow(const graph::GraphView& view,
                               const std::vector<Demand>& demands,
                               const PathLpOptions& options = {});
@@ -53,42 +55,9 @@ RoutingResult route_demands(const graph::GraphView& view,
                             const std::vector<Demand>& demands,
                             const PathLpOptions& options = {});
 
-/// The paper's routability test (eq. 2) on a borrowed view.
+/// The paper's routability test (eq. 2): true iff the whole demand fits.
 bool is_routable(const graph::GraphView& view,
                  const std::vector<Demand>& demands,
                  const PathLpOptions& options = {});
-
-// --- callback entry points (materialise a view per call) ---------------------
-
-/// Greedy sufficient check: routes demands one by one (largest first) with
-/// successive shortest paths on residual capacities.  fully_routed == true
-/// is a proof of routability; false proves nothing.
-RoutingResult greedy_route(const graph::Graph& g,
-                           const std::vector<Demand>& demands,
-                           const graph::EdgeFilter& edge_ok,
-                           const graph::EdgeWeight& capacity);
-
-/// Exact maximum total routed flow (LP optimum over all paths).
-RoutingResult max_routed_flow(const graph::Graph& g,
-                              const std::vector<Demand>& demands,
-                              const graph::EdgeFilter& edge_ok,
-                              const graph::EdgeWeight& capacity,
-                              const PathLpOptions& options = {});
-
-/// Routability with witness: greedy first, exact LP fallback.
-RoutingResult route_demands(const graph::Graph& g,
-                            const std::vector<Demand>& demands,
-                            const graph::EdgeFilter& edge_ok,
-                            const graph::EdgeWeight& capacity,
-                            const PathLpOptions& options = {});
-
-/// The paper's routability test (eq. 2): true iff the whole demand fits.
-bool is_routable(const graph::Graph& g, const std::vector<Demand>& demands,
-                 const graph::EdgeFilter& edge_ok,
-                 const graph::EdgeWeight& capacity,
-                 const PathLpOptions& options = {});
-
-/// Static capacities of the graph's edges (the default capacity view).
-graph::EdgeWeight static_capacity(const graph::Graph& g);
 
 }  // namespace netrec::mcf

@@ -15,17 +15,14 @@ namespace {
 
 using graph::EdgeId;
 using graph::Graph;
+using graph::GraphView;
 using graph::NodeId;
-
-graph::EdgeWeight unit() {
-  return [](EdgeId) { return 1.0; };
-}
 
 TEST(Betweenness, PathGraphCenterDominates) {
   Graph g;
   for (int i = 0; i < 5; ++i) g.add_node();
   for (int i = 0; i + 1 < 5; ++i) g.add_edge(i, i + 1, 1.0);
-  const auto c = graph::betweenness_centrality(g, unit());
+  const auto c = graph::betweenness_centrality(GraphView::build(g));
   // Known values on P5: endpoints 0, then 3, 4, 3.
   EXPECT_NEAR(c[0], 0.0, 1e-9);
   EXPECT_NEAR(c[1], 3.0, 1e-9);
@@ -38,7 +35,7 @@ TEST(Betweenness, StarHubTakesEverything) {
   Graph g;
   for (int i = 0; i < 5; ++i) g.add_node();
   for (int leaf = 1; leaf < 5; ++leaf) g.add_edge(0, leaf, 1.0);
-  const auto c = graph::betweenness_centrality(g, unit());
+  const auto c = graph::betweenness_centrality(GraphView::build(g));
   EXPECT_NEAR(c[0], 6.0, 1e-9);  // C(4,2) leaf pairs
   for (int leaf = 1; leaf < 5; ++leaf) EXPECT_NEAR(c[leaf], 0.0, 1e-9);
 }
@@ -52,7 +49,7 @@ TEST(Betweenness, SplitsAcrossEqualShortestPaths) {
   g.add_edge(1, 2, 1.0);
   g.add_edge(2, 3, 1.0);
   g.add_edge(3, 0, 1.0);
-  const auto c = graph::betweenness_centrality(g, unit());
+  const auto c = graph::betweenness_centrality(GraphView::build(g));
   for (int i = 0; i < 4; ++i) EXPECT_NEAR(c[i], 0.5, 1e-9);
 }
 
@@ -63,12 +60,14 @@ TEST(Betweenness, RespectsWeightsAndFilters) {
   g.add_edge(0, 1, 1.0);
   g.add_edge(1, 2, 1.0);
   const EdgeId heavy = g.add_edge(0, 2, 1.0);
-  auto weights = [&](EdgeId e) { return e == heavy ? 10.0 : 1.0; };
-  const auto c = graph::betweenness_centrality(g, weights);
+  graph::ViewConfig config;
+  config.length = [&](EdgeId e) { return e == heavy ? 10.0 : 1.0; };
+  const auto c = graph::betweenness_centrality(GraphView::build(g, config));
   EXPECT_NEAR(c[1], 1.0, 1e-9);
   // Filtering out the light edges isolates the pairs through `heavy`.
-  const auto filtered = graph::betweenness_centrality(
-      g, weights, [&](EdgeId e) { return e == heavy; });
+  config.edge_ok = [&](EdgeId e) { return e == heavy; };
+  const auto filtered =
+      graph::betweenness_centrality(GraphView::build(g, config));
   EXPECT_NEAR(filtered[1], 0.0, 1e-9);
 }
 

@@ -15,16 +15,6 @@ using graph::EdgeId;
 using graph::Graph;
 using graph::NodeId;
 
-/// Full-graph snapshot with `length` as metric and `capacity` as residual —
-/// what ISP hands demand_based_centrality.
-graph::GraphView metric_view(const Graph& g, graph::EdgeWeight length,
-                             graph::EdgeWeight capacity) {
-  graph::ViewConfig config;
-  config.length = std::move(length);
-  config.capacity = std::move(capacity);
-  return graph::GraphView::build(g, config);
-}
-
 Graph path_graph(int n, double capacity = 10.0) {
   Graph g;
   for (int i = 0; i < n; ++i) g.add_node("p" + std::to_string(i));
@@ -74,9 +64,7 @@ TEST(RepairState, RepairPathRepairsAllElements) {
 TEST(Centrality, MiddleNodeDominatesOnPathGraph) {
   Graph g = path_graph(5);
   const std::vector<mcf::Demand> demands{{0, 4, 5.0}};
-  auto ones = [](EdgeId) { return 1.0; };
-  auto cap = mcf::static_capacity(g);
-  const auto c = demand_based_centrality(metric_view(g, ones, cap), demands);
+  const auto c = demand_based_centrality(graph::GraphView::build(g), demands);
   // Single path: every node on it receives the full demand share.
   for (NodeId v = 0; v <= 4; ++v) EXPECT_NEAR(c.score(v), 5.0, 1e-9);
   EXPECT_EQ(c.contributors(2).size(), 1u);
@@ -97,9 +85,7 @@ TEST(Centrality, SharedCorridorScoresHigherThanPrivateBranches) {
   g.add_edge(3, 4, 10.0);
   g.add_edge(3, 5, 10.0);
   const std::vector<mcf::Demand> demands{{0, 4, 5.0}, {1, 5, 5.0}};
-  auto ones = [](EdgeId) { return 1.0; };
-  auto cap = mcf::static_capacity(g);
-  const auto c = demand_based_centrality(metric_view(g, ones, cap), demands);
+  const auto c = demand_based_centrality(graph::GraphView::build(g), demands);
   EXPECT_NEAR(c.score(2), 10.0, 1e-9);  // both demands
   EXPECT_NEAR(c.score(3), 10.0, 1e-9);
   EXPECT_NEAR(c.score(0), 5.0, 1e-9);  // own demand only
@@ -119,9 +105,7 @@ TEST(Centrality, SplitsShareAcrossParallelPaths) {
   g.add_edge(0, 2, 3.0);
   g.add_edge(2, 3, 3.0);
   const std::vector<mcf::Demand> demands{{0, 3, 12.0}};
-  auto ones = [](EdgeId) { return 1.0; };
-  auto cap = mcf::static_capacity(g);
-  const auto c = demand_based_centrality(metric_view(g, ones, cap), demands);
+  const auto c = demand_based_centrality(graph::GraphView::build(g), demands);
   EXPECT_NEAR(c.score(1), 9.0, 1e-9);   // 9/12 of 12
   EXPECT_NEAR(c.score(2), 3.0, 1e-9);   // 3/12 of 12
   EXPECT_NEAR(c.score(0), 12.0, 1e-9);  // endpoint on both paths
@@ -138,13 +122,14 @@ TEST(Centrality, DynamicMetricSteersAwayFromExpensiveRepairs) {
   g.add_edge(2, 3, 10.0);
   g.set_edge_broken(direct, true);
   g.set_edge_repair_cost(direct, 100.0);
-  auto metric = [&g](EdgeId e) {
+  graph::ViewConfig config;
+  config.length = [&g](EdgeId e) {
     return (1.0 + (g.edge_broken(e) ? g.edge_repair_cost(e) : 0.0)) /
            g.edge_capacity(e);
   };
-  auto cap = mcf::static_capacity(g);
   const std::vector<mcf::Demand> demands{{0, 3, 5.0}};
-  const auto c = demand_based_centrality(metric_view(g, metric, cap), demands);
+  const auto c = demand_based_centrality(graph::GraphView::build(g, config),
+                                         demands);
   EXPECT_NEAR(c.score(1), 5.0, 1e-9);  // detour carries everything
   EXPECT_EQ(c.contributors(1).size(), 1u);
 }

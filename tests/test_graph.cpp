@@ -71,19 +71,20 @@ TEST(Graph, EdgeUsableRequiresWorkingEndpoints) {
 
 TEST(Traversal, BfsHopsAndDiameter) {
   Graph g = make_square_with_diagonal();
-  const auto dist = bfs_hops(g, 0);
+  const auto view = GraphView::build(g);
+  const auto dist = bfs_hops(view, 0);
   EXPECT_EQ(dist[0], 0);
   EXPECT_EQ(dist[1], 1);
   EXPECT_EQ(dist[2], 1);  // via diagonal
   EXPECT_EQ(dist[3], 1);
-  EXPECT_EQ(hop_diameter(g), 2);
+  EXPECT_EQ(hop_diameter(view), 2);
 }
 
 TEST(Traversal, FiltersExcludeBrokenElements) {
   Graph g = make_square_with_diagonal();
   g.set_edge_broken(g.find_edge(0, 2), true);
   g.set_edge_broken(g.find_edge(0, 1), true);
-  const auto dist = bfs_hops(g, 0, working_edge_filter(g));
+  const auto dist = bfs_hops(GraphView::working(g), 0);
   EXPECT_EQ(dist[2], 2);  // 0-3-2
   EXPECT_EQ(dist[1], 3);  // 0-3-2-1
 }
@@ -94,11 +95,12 @@ TEST(Traversal, ComponentsSplitWhenCut) {
   g.add_edge(0, 1, 1.0);
   g.add_edge(1, 2, 1.0);
   g.add_edge(3, 4, 1.0);
-  const auto label = connected_components(g);
+  const auto view = GraphView::build(g);
+  const auto label = connected_components(view);
   EXPECT_EQ(label[0], label[2]);
   EXPECT_NE(label[0], label[3]);
   EXPECT_NE(label[3], label[5]);
-  const auto giant = giant_component(g);
+  const auto giant = giant_component(view);
   EXPECT_EQ(giant.size(), 3u);
 }
 
@@ -109,19 +111,20 @@ TEST(Dijkstra, PrefersShortMetricOverFewHops) {
   const EdgeId a = g.add_edge(0, 1, 1.0);
   const EdgeId b = g.add_edge(1, 2, 1.0);
   const EdgeId direct = g.add_edge(0, 2, 1.0);
-  auto length = [&](EdgeId e) { return e == direct ? 5.0 : 1.0; };
-  auto path = shortest_path(g, 0, 2, length);
+  ViewConfig config;
+  config.length = [&](EdgeId e) { return e == direct ? 5.0 : 1.0; };
+  const auto view = GraphView::build(g, config);
+  auto path = shortest_path(view, 0, 2);
   ASSERT_TRUE(path.has_value());
   EXPECT_EQ(path->edges, (std::vector<EdgeId>{a, b}));
-  EXPECT_NEAR(path->length(length), 2.0, 1e-12);
+  EXPECT_NEAR(path->length(view.edge_lengths()), 2.0, 1e-12);
 }
 
 TEST(Dijkstra, ReturnsNulloptWhenDisconnected) {
   Graph g;
   g.add_node();
   g.add_node();
-  EXPECT_FALSE(
-      shortest_path(g, 0, 1, [](EdgeId) { return 1.0; }).has_value());
+  EXPECT_FALSE(shortest_path(GraphView::build(g), 0, 1).has_value());
 }
 
 TEST(Dijkstra, RejectsNegativeLengths) {
@@ -129,16 +132,18 @@ TEST(Dijkstra, RejectsNegativeLengths) {
   g.add_node();
   g.add_node();
   g.add_edge(0, 1, 1.0);
-  EXPECT_THROW(dijkstra(g, 0, [](EdgeId) { return -1.0; }),
+  ViewConfig config;
+  config.length = [](EdgeId) { return -1.0; };
+  EXPECT_THROW(dijkstra(GraphView::build(g, config), 0),
                std::invalid_argument);
 }
 
 TEST(WidestPath, PicksMaximumBottleneck) {
   Graph g = make_square_with_diagonal();
-  auto cap = [&g](EdgeId e) { return g.edge_capacity(e); };
-  auto path = widest_path(g, 0, 2, cap);
+  auto path = widest_path(GraphView::build(g), 0, 2);
   ASSERT_TRUE(path.has_value());
-  EXPECT_NEAR(path->capacity(cap), 10.0, 1e-12);  // around, not diagonal
+  // Around, not diagonal.
+  EXPECT_NEAR(path->capacity(g.edge_capacities()), 10.0, 1e-12);
   EXPECT_EQ(path->hop_count(), 2u);
 }
 
@@ -160,31 +165,28 @@ TEST(Maxflow, SingleEdge) {
   g.add_node();
   g.add_node();
   g.add_edge(0, 1, 7.5);
-  const auto r =
-      max_flow(g, 0, 1, [&g](EdgeId e) { return g.edge_capacity(e); });
+  const auto r = max_flow(GraphView::build(g), 0, 1);
   EXPECT_NEAR(r.value, 7.5, 1e-9);
 }
 
 TEST(Maxflow, ParallelPathsSum) {
   Graph g = make_square_with_diagonal();
-  const auto r =
-      max_flow(g, 0, 2, [&g](EdgeId e) { return g.edge_capacity(e); });
+  const auto r = max_flow(GraphView::build(g), 0, 2);
   // 0-1-2 (10) + 0-3-2 (10) + 0-2 (3).
   EXPECT_NEAR(r.value, 23.0, 1e-9);
 }
 
 TEST(Maxflow, RespectsNodeFilter) {
   Graph g = make_square_with_diagonal();
-  auto cap = [&g](EdgeId e) { return g.edge_capacity(e); };
-  const auto r = max_flow(g, 0, 2, cap, {},
-                          [](NodeId n) { return n != 1; });
+  ViewConfig config;
+  config.node_ok = [](NodeId n) { return n != 1; };
+  const auto r = max_flow(GraphView::build(g, config), 0, 2);
   EXPECT_NEAR(r.value, 13.0, 1e-9);  // loses the 0-1-2 path
 }
 
 TEST(Maxflow, DecompositionRecoversValue) {
   Graph g = make_square_with_diagonal();
-  auto cap = [&g](EdgeId e) { return g.edge_capacity(e); };
-  const auto r = max_flow(g, 0, 2, cap);
+  const auto r = max_flow(GraphView::build(g), 0, 2);
   const auto paths = decompose_flow(g, 0, 2, r.edge_flow);
   double total = 0.0;
   for (const auto& [path, amount] : paths) {
@@ -208,8 +210,7 @@ TEST(Maxflow, RandomGraphsFlowConservation) {
         }
       }
     }
-    auto cap = [&g](EdgeId e) { return g.edge_capacity(e); };
-    const auto r = max_flow(g, 0, n - 1, cap);
+    const auto r = max_flow(GraphView::build(g), 0, n - 1);
     // Conservation at interior nodes.
     for (NodeId v = 1; v < n - 1; ++v) {
       double net = 0.0;
@@ -229,7 +230,7 @@ TEST(Maxflow, RandomGraphsFlowConservation) {
 
 TEST(SimplePaths, EnumeratesAllInSquare) {
   Graph g = make_square_with_diagonal();
-  const auto paths = all_simple_paths(g, 0, 2);
+  const auto paths = all_simple_paths(GraphView::build(g), 0, 2);
   // 0-2, 0-1-2, 0-3-2, 0-1... only simple: {0-2, 0-1-2, 0-3-2}.
   EXPECT_EQ(paths.size(), 3u);
   for (const auto& p : paths) {
@@ -240,19 +241,18 @@ TEST(SimplePaths, EnumeratesAllInSquare) {
 
 TEST(SimplePaths, HonoursLimits) {
   Graph g = make_square_with_diagonal();
+  const auto view = GraphView::build(g);
   SimplePathLimits limits;
   limits.max_paths = 1;
-  EXPECT_EQ(all_simple_paths(g, 0, 2, limits).size(), 1u);
+  EXPECT_EQ(all_simple_paths(view, 0, 2, limits).size(), 1u);
   limits.max_paths = 100;
   limits.max_hops = 1;
-  EXPECT_EQ(all_simple_paths(g, 0, 2, limits).size(), 1u);  // only direct
+  EXPECT_EQ(all_simple_paths(view, 0, 2, limits).size(), 1u);  // only direct
 }
 
 TEST(SuccessivePaths, CoversDemandAndReportsCapacities) {
   Graph g = make_square_with_diagonal();
-  auto cap = [&g](EdgeId e) { return g.edge_capacity(e); };
-  auto ones = [](EdgeId) { return 1.0; };
-  const auto r = successive_shortest_paths(g, 0, 2, 15.0, ones, cap);
+  const auto r = successive_shortest_paths(GraphView::build(g), 0, 2, 15.0);
   EXPECT_GE(r.total_capacity, 15.0);
   ASSERT_GE(r.paths.size(), 2u);
   double sum = 0.0;
@@ -264,8 +264,7 @@ TEST(SuccessivePaths, StopsWhenDisconnected) {
   Graph g;
   g.add_node();
   g.add_node();
-  const auto r = successive_shortest_paths(
-      g, 0, 1, 5.0, [](EdgeId) { return 1.0; }, [](EdgeId) { return 1.0; });
+  const auto r = successive_shortest_paths(GraphView::build(g), 0, 1, 5.0);
   EXPECT_TRUE(r.paths.empty());
   EXPECT_EQ(r.total_capacity, 0.0);
 }

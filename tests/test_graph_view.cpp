@@ -285,18 +285,20 @@ TEST(GraphValidation, WidestPathRejectsNaNAndNegativeCapacity) {
   g.add_edge(0, 1, 5.0);
   g.add_edge(1, 2, 5.0);
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(
-      graph::widest_path(g, 0, 2, [nan](graph::EdgeId) { return nan; }),
-      std::invalid_argument);
-  EXPECT_THROW(
-      graph::widest_path(g, 0, 2, [](graph::EdgeId) { return -1.0; }),
-      std::invalid_argument);
+  auto widest = [&g](graph::EdgeWeight capacity) {
+    graph::ViewConfig config;
+    config.capacity = std::move(capacity);
+    return graph::widest_path(graph::GraphView::build(g, config), 0, 2);
+  };
+  EXPECT_THROW(widest([nan](graph::EdgeId) { return nan; }),
+               std::invalid_argument);
+  EXPECT_THROW(widest([](graph::EdgeId) { return -1.0; }),
+               std::invalid_argument);
   EXPECT_THROW(
       oracle::widest_path(g, 0, 2, [nan](graph::EdgeId) { return nan; }),
       std::invalid_argument);
   // Valid capacities still work.
-  const auto path =
-      graph::widest_path(g, 0, 2, [](graph::EdgeId) { return 5.0; });
+  const auto path = widest([](graph::EdgeId) { return 5.0; });
   ASSERT_TRUE(path.has_value());
   EXPECT_EQ(path->edges.size(), 2u);
 }
@@ -307,9 +309,14 @@ TEST(GraphValidation, DijkstraRejectsNaNLength) {
   g.add_node();
   g.add_edge(0, 1, 1.0);
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(graph::dijkstra(g, 0, [nan](graph::EdgeId) { return nan; }),
+  auto run = [&g](graph::EdgeWeight length) {
+    graph::ViewConfig config;
+    config.length = std::move(length);
+    return graph::dijkstra(graph::GraphView::build(g, config), 0);
+  };
+  EXPECT_THROW(run([nan](graph::EdgeId) { return nan; }),
                std::invalid_argument);
-  EXPECT_THROW(graph::dijkstra(g, 0, [](graph::EdgeId) { return -0.5; }),
+  EXPECT_THROW(run([](graph::EdgeId) { return -0.5; }),
                std::invalid_argument);
 }
 

@@ -14,6 +14,7 @@
 #include "mcf/routing.hpp"
 #include "mcf/split.hpp"
 #include "mcf/types.hpp"
+#include "oracle/oracle.hpp"
 #include "util/rng.hpp"
 
 namespace netrec::mcf {
@@ -21,7 +22,13 @@ namespace {
 
 using graph::EdgeId;
 using graph::Graph;
+using graph::GraphView;
 using graph::NodeId;
+
+/// Static capacities as a callback, for the routing_is_valid checker.
+graph::EdgeWeight static_capacity(const Graph& g) {
+  return [&g](EdgeId e) { return g.edge_capacity(e); };
+}
 
 Graph make_square_with_diagonal() {
   Graph g;
@@ -36,12 +43,12 @@ Graph make_square_with_diagonal() {
 
 TEST(Routing, SingleCommodityMatchesDinic) {
   Graph g = make_square_with_diagonal();
-  auto cap = static_capacity(g);
-  const auto dinic = graph::max_flow(g, 0, 2, cap);
-  const auto lp = max_routed_flow(g, {Demand{0, 2, 100.0}}, {}, cap);
+  const auto view = GraphView::build(g);
+  const auto dinic = graph::max_flow(view, 0, 2);
+  const auto lp = max_routed_flow(view, {Demand{0, 2, 100.0}});
   EXPECT_NEAR(lp.total_routed, dinic.value, 1e-6);
   EXPECT_FALSE(lp.fully_routed);
-  const auto exact = max_routed_flow(g, {Demand{0, 2, dinic.value}}, {}, cap);
+  const auto exact = max_routed_flow(view, {Demand{0, 2, dinic.value}});
   EXPECT_TRUE(exact.fully_routed);
 }
 
@@ -56,10 +63,10 @@ TEST(Routing, RandomSingleCommodityMatchesDinic) {
         if (rng.chance(0.45)) g.add_edge(i, j, rng.uniform(1.0, 8.0));
       }
     }
-    auto cap = static_capacity(g);
-    const double want = graph::max_flow(g, 0, n - 1, cap).value;
+    const auto view = GraphView::build(g);
+    const double want = graph::max_flow(view, 0, n - 1).value;
     const auto lp =
-        max_routed_flow(g, {Demand{0, n - 1, want + 50.0}}, {}, cap);
+        max_routed_flow(view, {Demand{0, n - 1, want + 50.0}});
     EXPECT_NEAR(lp.total_routed, want, 1e-5) << "trial " << trial;
   }
 }
@@ -72,14 +79,14 @@ TEST(Routing, TwoCommoditiesShareCapacity) {
   for (int i = 0; i < 3; ++i) g.add_node();
   g.add_edge(0, 1, 10.0);
   g.add_edge(1, 2, 10.0);
-  auto cap = static_capacity(g);
+  const auto view = GraphView::build(g);
   const std::vector<Demand> demands{Demand{0, 2, 6.0}, Demand{0, 1, 6.0}};
-  const auto r = max_routed_flow(g, demands, {}, cap);
+  const auto r = max_routed_flow(view, demands);
   EXPECT_FALSE(r.fully_routed);
   EXPECT_NEAR(r.total_routed, 10.0, 1e-6);
 
   const std::vector<Demand> fits{Demand{0, 2, 6.0}, Demand{0, 1, 4.0}};
-  EXPECT_TRUE(is_routable(g, fits, {}, cap));
+  EXPECT_TRUE(is_routable(view, fits));
 }
 
 TEST(Routing, OkamuraSeymourStyleInstanceIsExact) {
@@ -90,34 +97,34 @@ TEST(Routing, OkamuraSeymourStyleInstanceIsExact) {
   for (int i = 0; i < 4; ++i) {
     for (int j = i + 1; j < 4; ++j) g.add_edge(i, j, 1.0);
   }
-  auto cap = static_capacity(g);
+  const auto view = GraphView::build(g);
   const std::vector<Demand> demands{Demand{0, 1, 1.0}, Demand{2, 3, 1.0},
                                     Demand{0, 3, 1.0}};
-  EXPECT_TRUE(is_routable(g, demands, {}, cap));
+  EXPECT_TRUE(is_routable(view, demands));
   const std::vector<Demand> too_much{Demand{0, 1, 2.0}, Demand{2, 3, 2.0},
                                      Demand{0, 3, 2.0}};
-  EXPECT_FALSE(is_routable(g, too_much, {}, cap));
+  EXPECT_FALSE(is_routable(view, too_much));
 }
 
 TEST(Routing, GreedyRouteIsAValidWitness) {
   Graph g = make_square_with_diagonal();
-  auto cap = static_capacity(g);
+  const auto view = GraphView::build(g);
   const std::vector<Demand> demands{Demand{0, 2, 12.0}, Demand{1, 3, 5.0}};
-  const auto r = greedy_route(g, demands, {}, cap);
+  const auto r = greedy_route(view, demands);
   if (r.fully_routed) {
-    EXPECT_TRUE(routing_is_valid(g, demands, r.flows, {}, cap));
+    EXPECT_TRUE(routing_is_valid(g, demands, r.flows, {}, static_capacity(g)));
   }
   // The exact referee must confirm routability regardless.
-  EXPECT_TRUE(is_routable(g, demands, {}, cap));
+  EXPECT_TRUE(is_routable(view, demands));
 }
 
 TEST(Routing, RouteDemandsReturnsValidRouting) {
   Graph g = make_square_with_diagonal();
-  auto cap = static_capacity(g);
+  const auto view = GraphView::build(g);
   const std::vector<Demand> demands{Demand{0, 2, 20.0}, Demand{1, 3, 3.0}};
-  const auto r = route_demands(g, demands, {}, cap);
+  const auto r = route_demands(view, demands);
   ASSERT_TRUE(r.fully_routed);
-  EXPECT_TRUE(routing_is_valid(g, demands, r.flows, {}, cap));
+  EXPECT_TRUE(routing_is_valid(g, demands, r.flows, {}, static_capacity(g)));
   EXPECT_NEAR(r.routed[0], 20.0, 1e-6);
   EXPECT_NEAR(r.routed[1], 3.0, 1e-6);
 }
@@ -126,34 +133,67 @@ TEST(Routing, FiltersRestrictToWorkingSubgraph) {
   Graph g = make_square_with_diagonal();
   g.set_node_broken(1, true);
   g.set_edge_broken(g.find_edge(0, 2), true);
-  auto cap = static_capacity(g);
   // Only 0-3-2 left: capacity 10.
-  const auto ok = working_edge_filter(g);
-  EXPECT_TRUE(is_routable(g, {Demand{0, 2, 10.0}}, ok, cap));
-  EXPECT_FALSE(is_routable(g, {Demand{0, 2, 10.5}}, ok, cap));
+  const auto working = GraphView::working(g);
+  EXPECT_TRUE(is_routable(working, {Demand{0, 2, 10.0}}));
+  EXPECT_FALSE(is_routable(working, {Demand{0, 2, 10.5}}));
+}
+
+TEST(Routing, ZeroCapacityEdgeCarriesNoFlow) {
+  // The hop-shortest 0-3 path 0-1-3 crosses a capacity-0 edge; the real
+  // capacity is 0-1-2-3 (6) plus 0-4-5-3 (3).  Graph inputs accept
+  // capacity 0, and such an edge must neither carry flow nor change the
+  // routed amount.
+  Graph g;
+  for (int i = 0; i < 6; ++i) g.add_node();
+  g.add_edge(0, 1, 10.0);
+  const EdgeId zero = g.add_edge(1, 3, 0.0);
+  g.add_edge(1, 2, 6.0);
+  g.add_edge(2, 3, 6.0);
+  g.add_edge(0, 4, 3.0);
+  g.add_edge(4, 5, 3.0);
+  g.add_edge(5, 3, 3.0);
+  const double want = oracle::max_flow(g, 0, 3, static_capacity(g)).value;
+  ASSERT_NEAR(want, 9.0, 1e-9);
+  auto avoids_zero_edge = [zero](const RoutingResult& r) {
+    for (const PathFlow& flow : r.flows) {
+      for (EdgeId e : flow.path.edges) {
+        if (e == zero) return false;
+      }
+    }
+    return true;
+  };
+
+  const auto view = GraphView::build(g);
+  const auto max_routed = max_routed_flow(view, {Demand{0, 3, 100.0}});
+  EXPECT_NEAR(max_routed.total_routed, want, 1e-6);
+  EXPECT_TRUE(avoids_zero_edge(max_routed));
+
+  const std::vector<Demand> exact{Demand{0, 3, want}};
+  const auto routed = route_demands(view, exact);
+  ASSERT_TRUE(routed.fully_routed);
+  EXPECT_NEAR(routed.total_routed, want, 1e-6);
+  EXPECT_TRUE(avoids_zero_edge(routed));
+  EXPECT_TRUE(routing_is_valid(g, exact, routed.flows, {}, static_capacity(g)));
+
+  EXPECT_TRUE(is_routable(view, exact));
+  EXPECT_FALSE(is_routable(view, {Demand{0, 3, want + 0.5}}));
 }
 
 TEST(Routing, DisconnectedDemandFailsFast) {
   Graph g;
   g.add_node();
   g.add_node();
-  auto cap = static_capacity(g);
-  EXPECT_FALSE(is_routable(g, {Demand{0, 1, 1.0}}, {}, cap));
+  EXPECT_FALSE(is_routable(GraphView::build(g), {Demand{0, 1, 1.0}}));
 }
 
 TEST(Routing, ZeroAndSelfDemandsAreTriviallyRoutable) {
   Graph g = make_square_with_diagonal();
-  auto cap = static_capacity(g);
-  EXPECT_TRUE(is_routable(g, {Demand{0, 0, 5.0}, Demand{1, 2, 0.0}}, {}, cap));
+  EXPECT_TRUE(is_routable(GraphView::build(g),
+                          {Demand{0, 0, 5.0}, Demand{1, 2, 0.0}}));
 }
 
 // --- split LP -------------------------------------------------------------
-
-graph::GraphView capacity_view(const Graph& g, graph::EdgeWeight capacity) {
-  graph::ViewConfig config;
-  config.capacity = std::move(capacity);
-  return graph::GraphView::build(g, config);
-}
 
 TEST(Split, FullSplitWhenViaOnOnlyPath) {
   // 0-1-2 path; splitting (0,2) on node 1 must allow the full demand.
@@ -161,10 +201,9 @@ TEST(Split, FullSplitWhenViaOnOnlyPath) {
   for (int i = 0; i < 3; ++i) g.add_node();
   g.add_edge(0, 1, 10.0);
   g.add_edge(1, 2, 10.0);
-  auto cap = static_capacity(g);
+  const auto view = GraphView::build(g);
   const std::vector<Demand> demands{Demand{0, 2, 8.0}};
-  EXPECT_NEAR(max_splittable_amount(capacity_view(g, cap), demands, 0, 1), 8.0,
-              1e-6);
+  EXPECT_NEAR(max_splittable_amount(view, demands, 0, 1), 8.0, 1e-6);
 }
 
 TEST(Split, LimitedByViaCapacity) {
@@ -176,10 +215,9 @@ TEST(Split, LimitedByViaCapacity) {
   g.add_edge(1, 3, 4.0);
   g.add_edge(0, 2, 10.0);
   g.add_edge(2, 3, 10.0);
-  auto cap = static_capacity(g);
+  const auto view = GraphView::build(g);
   const std::vector<Demand> demands{Demand{0, 3, 12.0}};
-  EXPECT_NEAR(max_splittable_amount(capacity_view(g, cap), demands, 0, 1), 4.0,
-              1e-6);
+  EXPECT_NEAR(max_splittable_amount(view, demands, 0, 1), 4.0, 1e-6);
 }
 
 TEST(Split, RespectsOtherDemandsRoutability) {
@@ -191,19 +229,19 @@ TEST(Split, RespectsOtherDemandsRoutability) {
   g.add_edge(1, 2, 10.0);
   g.add_edge(2, 3, 10.0);
   g.add_edge(3, 0, 10.0);
-  auto cap = static_capacity(g);
+  const auto view = GraphView::build(g);
   const std::vector<Demand> demands{Demand{0, 2, 14.0}, Demand{0, 1, 6.0}};
   // (0,2) can use 0-1-2 (10) and 0-3-2 (10).  Forcing dx through node 1
   // fights with (0,1)=6 on edge 0-1: dx <= 4 via 0-1 plus nothing else ...
   // the LP may route the (0,1) demand the long way (0-3-2-1), freeing 0-1.
-  const double dx = max_splittable_amount(capacity_view(g, cap), demands, 0, 1);
+  const double dx = max_splittable_amount(view, demands, 0, 1);
   EXPECT_GE(dx, 4.0 - 1e-6);
   EXPECT_LE(dx, 10.0 + 1e-6);
   // Whatever dx was chosen, the split instance must remain routable.
   std::vector<Demand> split_instance{Demand{0, 2, 14.0 - dx},
                                      Demand{0, 1, 6.0}, Demand{0, 1, dx},
                                      Demand{1, 2, dx}};
-  EXPECT_TRUE(is_routable(g, split_instance, {}, cap));
+  EXPECT_TRUE(is_routable(view, split_instance));
 }
 
 TEST(Split, ZeroWhenInstanceUnroutable) {
@@ -211,10 +249,9 @@ TEST(Split, ZeroWhenInstanceUnroutable) {
   for (int i = 0; i < 3; ++i) g.add_node();
   g.add_edge(0, 1, 1.0);
   g.add_edge(1, 2, 1.0);
-  auto cap = static_capacity(g);
+  const auto view = GraphView::build(g);
   const std::vector<Demand> demands{Demand{0, 2, 5.0}};  // cap is only 1
-  EXPECT_NEAR(max_splittable_amount(capacity_view(g, cap), demands, 0, 1), 0.0,
-              1e-6);
+  EXPECT_NEAR(max_splittable_amount(view, demands, 0, 1), 0.0, 1e-6);
 }
 
 // --- eq. (8) relaxation ----------------------------------------------------

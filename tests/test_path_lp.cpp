@@ -32,7 +32,8 @@ Graph two_route_graph(double cap_a, double cap_b) {
 
 TEST(PathLp, MaxRoutedConvergesToExactOptimum) {
   Graph g = two_route_graph(7.0, 5.0);
-  PathLp lp(g, {Demand{0, 3, 100.0}}, {}, static_capacity(g));
+  const auto view = graph::GraphView::build(g);
+  PathLp lp(view, {Demand{0, 3, 100.0}});
   lp.set_max_routed();
   const auto r = lp.solve();
   EXPECT_TRUE(r.converged);
@@ -42,7 +43,8 @@ TEST(PathLp, MaxRoutedConvergesToExactOptimum) {
 
 TEST(PathLp, ModeMustBeConfigured) {
   Graph g = two_route_graph(1.0, 1.0);
-  PathLp lp(g, {Demand{0, 3, 1.0}}, {}, static_capacity(g));
+  const auto view = graph::GraphView::build(g);
+  PathLp lp(view, {Demand{0, 3, 1.0}});
   EXPECT_THROW(lp.solve(), std::logic_error);
 }
 
@@ -53,7 +55,8 @@ TEST(PathLp, MinCostPrefersCheapEdges) {
     const auto [eu, ev] = g.edge_endpoints(e);
     return (eu == 1 || ev == 1) ? 5.0 : 0.0;
   };
-  PathLp lp(g, {Demand{0, 3, 8.0}}, {}, static_capacity(g));
+  const auto view = graph::GraphView::build(g);
+  PathLp lp(view, {Demand{0, 3, 8.0}});
   lp.set_min_cost(cost);
   const auto r = lp.solve();
   EXPECT_TRUE(r.converged);
@@ -68,7 +71,8 @@ TEST(PathLp, MinCostPaysWhenForcedAcrossBothRoutes) {
     return (eu == 1 || ev == 1) ? 1.0 : 0.0;
   };
   // Demand 10 > free route capacity 4: six units must take the 2-cost route.
-  PathLp lp(g, {Demand{0, 3, 10.0}}, {}, static_capacity(g));
+  const auto view = graph::GraphView::build(g);
+  PathLp lp(view, {Demand{0, 3, 10.0}});
   lp.set_min_cost(cost);
   const auto r = lp.solve();
   EXPECT_TRUE(r.routing.fully_routed);
@@ -77,7 +81,8 @@ TEST(PathLp, MinCostPaysWhenForcedAcrossBothRoutes) {
 
 TEST(PathLp, MinCostReportsShortfallWhenInfeasible) {
   Graph g = two_route_graph(2.0, 1.0);
-  PathLp lp(g, {Demand{0, 3, 10.0}}, {}, static_capacity(g));
+  const auto view = graph::GraphView::build(g);
+  PathLp lp(view, {Demand{0, 3, 10.0}});
   lp.set_min_cost([](EdgeId) { return 0.0; });
   const auto r = lp.solve();
   EXPECT_FALSE(r.routing.fully_routed);
@@ -87,7 +92,8 @@ TEST(PathLp, MinCostReportsShortfallWhenInfeasible) {
 
 TEST(PathLp, MaxSplitHonoursDxCap) {
   Graph g = two_route_graph(6.0, 9.0);
-  PathLp lp(g, {Demand{0, 3, 4.0}}, {}, static_capacity(g));
+  const auto view = graph::GraphView::build(g);
+  PathLp lp(view, {Demand{0, 3, 4.0}});
   lp.set_max_split(0, 1);
   const auto r = lp.solve();
   EXPECT_TRUE(r.converged);
@@ -96,14 +102,16 @@ TEST(PathLp, MaxSplitHonoursDxCap) {
 
 TEST(PathLp, SplitIndexValidation) {
   Graph g = two_route_graph(1.0, 1.0);
-  PathLp lp(g, {Demand{0, 3, 1.0}}, {}, static_capacity(g));
+  const auto view = graph::GraphView::build(g);
+  PathLp lp(view, {Demand{0, 3, 1.0}});
   lp.set_max_split(5, 1);
   EXPECT_THROW(lp.solve(), std::invalid_argument);
 }
 
 TEST(PathLp, CostBoundRequiresMinCostMode) {
   Graph g = two_route_graph(1.0, 1.0);
-  PathLp lp(g, {Demand{0, 3, 1.0}}, {}, static_capacity(g));
+  const auto view = graph::GraphView::build(g);
+  PathLp lp(view, {Demand{0, 3, 1.0}});
   lp.set_max_routed();
   lp.add_cost_bound(PathCostBound{[](EdgeId) { return 1.0; }, 5.0});
   EXPECT_THROW(lp.solve(), std::logic_error);
@@ -117,7 +125,8 @@ TEST(PathLp, CostBoundPinsTheOptimalFace) {
   };
   // Secondary objective prefers route A, but the bound row pins route-A
   // usage to zero cost, forcing the flow onto route B.
-  PathLp lp(g, {Demand{0, 3, 5.0}}, {}, static_capacity(g));
+  const auto view = graph::GraphView::build(g);
+  PathLp lp(view, {Demand{0, 3, 5.0}});
   lp.set_min_cost([&g](EdgeId e) {
     const auto [eu, ev] = g.edge_endpoints(e);
     return (eu == 2 || ev == 2) ? 1.0 : 0.0;  // dislikes route B
@@ -141,7 +150,8 @@ TEST(PathLp, LazyCapacityRowsActivateOnLargeGraphs) {
   }
   PathLpOptions opt;
   opt.eager_capacity_threshold = 50;  // force lazy mode
-  PathLp lp(g, {Demand{0, n - 1, 10.0}}, {}, static_capacity(g), opt);
+  const auto view = graph::GraphView::build(g);
+  PathLp lp(view, {Demand{0, n - 1, 10.0}}, opt);
   lp.set_max_routed();
   const auto r = lp.solve();
   EXPECT_TRUE(r.converged);
@@ -154,7 +164,8 @@ TEST(PathLp, ParallelDemandsShareFairlyAtOptimum) {
   Graph g = two_route_graph(6.0, 6.0);
   std::vector<Demand> demands{Demand{0, 3, 6.0}, Demand{0, 3, 6.0},
                               Demand{0, 3, 6.0}};
-  PathLp lp(g, demands, {}, static_capacity(g));
+  const auto view = graph::GraphView::build(g);
+  PathLp lp(view, demands);
   lp.set_max_routed();
   const auto r = lp.solve();
   EXPECT_NEAR(r.objective, 12.0, 1e-6);
@@ -181,11 +192,13 @@ TEST(PathLp, RandomInstancesNeverExceedCapacities) {
       if (s != t) demands.push_back(Demand{s, t, rng.uniform(1.0, 5.0)});
     }
     if (demands.empty()) continue;
-    PathLp lp(g, demands, {}, static_capacity(g));
+    const auto view = graph::GraphView::build(g);
+    PathLp lp(view, demands);
     lp.set_max_routed();
     const auto r = lp.solve();
-    EXPECT_TRUE(routing_is_valid(g, demands, r.routing.flows, {},
-                                 static_capacity(g)))
+    EXPECT_TRUE(routing_is_valid(
+        g, demands, r.routing.flows, {},
+        [&g](EdgeId e) { return g.edge_capacity(e); }))
         << "trial " << trial;
   }
 }

@@ -47,7 +47,8 @@ core::RecoveryProblem er_scenario(std::uint64_t seed) {
   std::size_t attempts = 0;
   do {
     p.graph = topology::make_topology(eopt, rng);
-  } while (graph::hop_diameter(p.graph) < 0 && ++attempts < 50);
+  } while (graph::hop_diameter(graph::GraphView::build(p.graph)) < 0 &&
+           ++attempts < 50);
   util::Rng demand_rng = rng.fork();
   p.demands = scenario::far_apart_demands(p.graph, 3, 4.0, demand_rng);
   for (std::size_t n = 0; n < p.graph.num_nodes(); ++n) {

@@ -150,10 +150,12 @@ double brute_force_forest(const Graph& g,
   const int m = static_cast<int>(g.num_edges());
   double best = std::numeric_limits<double>::infinity();
   for (int mask = 0; mask < (1 << m); ++mask) {
-    auto edge_ok = [&](EdgeId e) { return (mask >> e) & 1; };
+    graph::ViewConfig config;
+    config.edge_ok = [&](EdgeId e) { return (mask >> e) & 1; };
+    const auto view = graph::GraphView::build(g, config);
     bool all_connected = true;
     for (const auto& [a, b] : pairs) {
-      if (!graph::reachable(g, a, b, edge_ok)) {
+      if (!graph::reachable(view, a, b)) {
         all_connected = false;
         break;
       }

@@ -26,12 +26,13 @@ TEST(BellCanada, HasPaperDimensionsAndCapacities) {
     EXPECT_FALSE(g.node_name(id).empty());
     EXPECT_NE(g.node_x(id), 0.0);  // has coordinates
   }
-  EXPECT_EQ(graph::connected_components(g).back(), 0);  // single component
+  // Single component.
+  EXPECT_EQ(graph::connected_components(graph::GraphView::build(g)).back(), 0);
 }
 
 TEST(BellCanada, DiameterSupportsFarApartDemands) {
   const graph::Graph g = topology::make_topology({topology::BellCanadaOptions{}});
-  const int diameter = graph::hop_diameter(g);
+  const int diameter = graph::hop_diameter(graph::GraphView::build(g));
   EXPECT_GE(diameter, 8);   // far-apart pairs need room
   EXPECT_LE(diameter, 20);  // ...but stay a realistic ISP backbone
 }
@@ -64,7 +65,7 @@ TEST(CaidaLike, ExactSizeConnectedHeavyTail) {
   EXPECT_EQ(g.num_edges(), 1018u);
   // Connected (growth model guarantees it).
   int max_label = 0;
-  for (int l : graph::connected_components(g)) {
+  for (int l : graph::connected_components(graph::GraphView::build(g))) {
     max_label = std::max(max_label, l);
   }
   EXPECT_EQ(max_label, 0);
@@ -258,8 +259,9 @@ TEST(Scenario, FarApartDemandsRespectDistance) {
   util::Rng rng(23);
   const auto demands = scenario::far_apart_demands(g, 4, 10.0, rng);
   ASSERT_EQ(demands.size(), 4u);
-  const int diameter = graph::hop_diameter(g);
-  const auto hops = graph::all_pairs_hops(g);
+  const auto view = graph::GraphView::build(g);
+  const int diameter = graph::hop_diameter(view);
+  const auto hops = graph::all_pairs_hops(view);
   for (const auto& d : demands) {
     EXPECT_GE(hops[static_cast<std::size_t>(d.source)]
                   [static_cast<std::size_t>(d.target)],
