@@ -22,7 +22,8 @@ namespace {
 using namespace netrec;
 
 const graph::Graph& bell() {
-  static const graph::Graph g = topology::make_topology({topology::BellCanadaOptions{}});
+  static const graph::Graph g =
+      topology::make_topology({topology::BellCanadaOptions{}});
   return g;
 }
 
@@ -106,9 +107,13 @@ void BM_SplitLpBell(benchmark::State& state) {
   const auto& g = bell();
   const auto demands = demands_for(g, 4, 10.0);
   const auto view = graph::GraphView::build(g);
+  const auto specs = mcf::demand_specs(demands);
+  // A throwaway session per iteration: one cold split probe, seeding
+  // included.
   for (auto _ : state) {
+    mcf::PathLpSession session(g, mcf::PathLpMode::kMaxSplit);
     benchmark::DoNotOptimize(
-        mcf::max_splittable_amount(view, demands, 0, 19));
+        mcf::max_splittable_amount(session, view, specs, 0, 19));
   }
 }
 BENCHMARK(BM_SplitLpBell);
@@ -137,8 +142,9 @@ BENCHMARK(BM_SimplexDense);
 
 /// The PathLpSession re-solve kernel: a master whose rhs drifts a little
 /// between solves (a few percent, the shape of residual consumption),
-/// re-solved either from scratch (cold, the one-shot PathLp shape) or
-/// from the previous basis with warm_append repairs (the session shape).
+/// re-solved either from scratch (cold, a throwaway session's first
+/// solve) or from the previous basis with warm_append repairs (a
+/// persistent session's re-solve).
 /// Same model sequence in both, so the timing difference is pure
 /// warm-start value (~1 pivot per warm re-solve vs a full two-phase
 /// cold solve; large drifts erase the advantage, which is the point of

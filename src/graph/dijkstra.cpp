@@ -103,29 +103,6 @@ ShortestPathTree dijkstra(const GraphView& view, NodeId source) {
       [&view](ArcId a, EdgeId) { return view.arc_length(a); }, AllArcsOk{});
 }
 
-ShortestPathTree dijkstra(const GraphView& view, NodeId source,
-                          const std::vector<double>& edge_length) {
-  return run_dijkstra(
-      view, source,
-      [&edge_length](ArcId, EdgeId e) {
-        return edge_length[static_cast<std::size_t>(e)];
-      },
-      AllArcsOk{});
-}
-
-ShortestPathTree dijkstra(const GraphView& view, NodeId source,
-                          const std::vector<double>& edge_length,
-                          const std::vector<double>& edge_residual) {
-  return run_dijkstra(
-      view, source,
-      [&edge_length](ArcId, EdgeId e) {
-        return edge_length[static_cast<std::size_t>(e)];
-      },
-      [&edge_residual](EdgeId e) {
-        return edge_residual[static_cast<std::size_t>(e)] > kResidualEps;
-      });
-}
-
 ShortestPathTree dijkstra_to(const GraphView& view, NodeId source,
                              NodeId target,
                              const std::vector<double>& edge_length,

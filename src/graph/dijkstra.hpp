@@ -36,22 +36,13 @@ struct ShortestPathTree {
 /// (std::invalid_argument at first encounter).
 ShortestPathTree dijkstra(const GraphView& view, NodeId source);
 
-/// Same traversal with caller-supplied per-edge-id lengths (indexed by
-/// original edge id) — the MCF pricing loop refreshes these from the master
-/// duals every round without rebuilding the view.
-ShortestPathTree dijkstra(const GraphView& view, NodeId source,
-                          const std::vector<double>& edge_length);
-
-/// Caller-supplied lengths *and* a residual skip (entries <= 1e-9 are not
-/// traversed) — the pricing loop of PathLp, whose (often cached) view may
-/// keep zero-capacity edges as arcs.
-ShortestPathTree dijkstra(const GraphView& view, NodeId source,
-                          const std::vector<double>& edge_length,
-                          const std::vector<double>& edge_residual);
-
-/// The pricing traversal above, stopped once `target` settles (exact
-/// distance/path for the target, see dijkstra_residual_to) — per-demand
-/// pricing in PathLpSession reads only the target's label.
+/// Dijkstra under caller-supplied per-edge-id lengths (indexed by original
+/// edge id; the pricing loop refreshes them from the master duals every
+/// round without rebuilding the view), skipping edges whose `edge_residual`
+/// entry is <= 1e-9 (a cached view may keep zero-capacity edges as arcs),
+/// stopped once `target` settles (exact distance/path for the target, see
+/// dijkstra_residual_to) — per-demand pricing in PathLpSession reads only
+/// the target's label.
 ShortestPathTree dijkstra_to(const GraphView& view, NodeId source,
                              NodeId target,
                              const std::vector<double>& edge_length,

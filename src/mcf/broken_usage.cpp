@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "graph/view.hpp"
+#include "mcf/path_lp_session.hpp"
+
 namespace netrec::mcf {
 
 namespace {
@@ -21,10 +24,9 @@ graph::EdgeWeight broken_cost_view(const graph::Graph& g) {
 BrokenUsageResult min_broken_usage(const graph::Graph& g,
                                    const std::vector<Demand>& demands,
                                    const PathLpOptions& options) {
-  const graph::GraphView view = graph::GraphView::build(g);
-  PathLp lp(view, demands, options);
-  lp.set_min_cost(broken_cost_view(g));
-  PathLpResult r = lp.solve();
+  PathLpSession lp(g, PathLpMode::kMinCost, options);
+  lp.set_min_cost_objective(broken_cost_view(g));
+  PathLpResult r = lp.solve(graph::GraphView::build(g), demand_specs(demands));
   BrokenUsageResult result;
   result.feasible = r.routing.fully_routed;
   result.cost = r.objective;
@@ -65,6 +67,7 @@ OptimalFaceBand explore_optimal_face(const graph::Graph& g,
 
   const auto base_cost = broken_cost_view(g);
   const graph::GraphView view = graph::GraphView::build(g);
+  const std::vector<PathLpSession::DemandSpec> specs = demand_specs(demands);
   const std::size_t base_repairs =
       implied_repairs(g, base.routing.flows).total();
   band.samples.push_back(base_repairs);
@@ -90,13 +93,13 @@ OptimalFaceBand explore_optimal_face(const graph::Graph& g,
                                   : rng.uniform(0.5, 1.0);
       }
     }
-    PathLp lp(view, demands, options);
-    lp.set_min_cost([&noise](graph::EdgeId e) {
+    PathLpSession lp(g, PathLpMode::kMinCost, options);
+    lp.set_min_cost_objective([&noise](graph::EdgeId e) {
       return noise[static_cast<std::size_t>(e)];
     });
     // Pin eq. (8)'s objective to its optimum (small slack for tolerance).
     lp.add_cost_bound(PathCostBound{base_cost, base.cost + 1e-6});
-    const PathLpResult r = lp.solve();
+    const PathLpResult r = lp.solve(view, specs);
     if (!r.routing.fully_routed) continue;
     band.samples.push_back(implied_repairs(g, r.routing.flows).total());
   }

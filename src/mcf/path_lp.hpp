@@ -1,4 +1,4 @@
-// Path-based multi-commodity LP with column generation.
+// Path-based multi-commodity LP: the shared mode, option and result types.
 //
 // All of the paper's flow LPs are instances of one master problem over path
 // variables x_p >= 0:
@@ -25,13 +25,14 @@
 // Equality-row modes carry per-demand shortfall variables with a big-M
 // penalty so the master is always feasible and column generation can start
 // from an empty pool.
+//
+// The one solver of this master is mcf::PathLpSession
+// (mcf/path_lp_session.hpp); one-shot callers run a throwaway session.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "graph/view.hpp"
 #include "mcf/types.hpp"
 
 namespace netrec::mcf {
@@ -67,48 +68,6 @@ struct PathLpResult {
   RoutingResult routing;
   /// Equality modes: per-demand unmet amount (all ~0 iff routable).
   std::vector<double> shortfall;
-};
-
-class PathLp {
- public:
-  /// Seeds, capacity rows and pricing all run on `view` (not owned; must
-  /// outlive solve()).  The view restricts the network (typically to
-  /// working-or-repaired elements, or the full graph with residual
-  /// capacities for ISP's invariant checks) and supplies the capacities.
-  /// The routable network is the view's edges with capacity > 1e-9 —
-  /// cached views keep drained edges as arcs, and solve() skips them.  The
-  /// view's lengths must be the unit/hop metric (the default ViewConfig).
-  PathLp(const graph::GraphView& view, std::vector<Demand> demands,
-         PathLpOptions options = {});
-
-  /// Configures the objective; call exactly one before solve().
-  void set_max_routed();
-  void set_min_cost(graph::EdgeWeight objective_edge_cost);
-  void set_max_split(int split_demand_index, graph::NodeId via);
-
-  /// Adds an optimal-face pinning row (kMinCost mode only).
-  void add_cost_bound(PathCostBound bound);
-
-  PathLpResult solve();
-
- private:
-  struct ColumnInfo {
-    int demand_index;  ///< internal demand index (includes split halves)
-    graph::Path path;
-    int var = -1;
-  };
-
-  const graph::Graph& g_;
-  const graph::GraphView& view_;
-  std::vector<Demand> user_demands_;
-  PathLpOptions opt_;
-
-  PathLpMode mode_ = PathLpMode::kMaxRouted;
-  bool mode_set_ = false;
-  graph::EdgeWeight objective_edge_cost_;
-  int split_demand_ = -1;
-  graph::NodeId split_via_ = graph::kInvalidNode;
-  std::vector<PathCostBound> cost_bounds_;
 };
 
 }  // namespace netrec::mcf

@@ -36,6 +36,17 @@ void PathLpSession::set_min_cost_objective(graph::EdgeWeight edge_cost) {
   objective_edge_cost_ = std::move(edge_cost);
 }
 
+void PathLpSession::add_cost_bound(PathCostBound bound) {
+  if (mode_ != PathLpMode::kMinCost) {
+    throw std::logic_error("PathLpSession: cost bounds require kMinCost mode");
+  }
+  if (stats_.solves > 0) {
+    throw std::logic_error(
+        "PathLpSession: cost bounds must precede the first solve");
+  }
+  cost_bounds_.push_back(std::move(bound));
+}
+
 PathLpResult PathLpSession::solve(const graph::GraphView& view,
                                   const std::vector<DemandSpec>& demands) {
   if (mode_ == PathLpMode::kMaxSplit) {
@@ -116,6 +127,7 @@ void PathLpSession::reset() {
   columns_of_row_.clear();
   half_columns_.clear();
   capacity_row_.assign(g_.num_edges(), -1);
+  bound_row_.clear();
   half_row_[0] = half_row_[1] = -1;
   dx_var_ = -1;
   split_row_index_ = -1;
@@ -128,8 +140,8 @@ void PathLpSession::reset() {
 
 bool PathLpSession::edge_usable(const graph::GraphView& view,
                                 graph::EdgeId e) const {
-  // Exactly PathLp's borrowed-view test: cached views keep drained edges as
-  // arcs, so membership alone is not usability.
+  // Cached views keep drained edges as arcs, so membership alone is not
+  // usability.
   return view.edge_in_view(e) && view.edge_capacity(e) > kEps;
 }
 
@@ -354,6 +366,11 @@ int PathLpSession::install_column(const graph::GraphView& view, int binding,
   col.active = true;
   col.var = model_.add_variable(0.0, lp::kInfinity, column_cost(path));
   model_.set_coefficient(model_row(binding), col.var, 1.0);
+  for (std::size_t b = 0; b < bound_row_.size(); ++b) {
+    double c = 0.0;
+    for (graph::EdgeId e : path.edges) c += cost_bounds_[b].edge_cost(e);
+    if (c != 0.0) model_.set_coefficient(bound_row_[b], col.var, c);
+  }
   for (graph::EdgeId e : path.edges) {
     const int row = capacity_row_[static_cast<std::size_t>(e)];
     if (row >= 0) model_.set_coefficient(row, col.var, 1.0);
@@ -442,6 +459,13 @@ PathLpResult PathLpSession::run_master(const graph::GraphView& view,
   if (mode_ == PathLpMode::kMaxSplit) {
     wire_split(view, pending_split_index_, pending_split_via_);
   }
+  if (first) {
+    // Cost-bound rows sit between the demand rows and the capacity rows.
+    for (const PathCostBound& bound : cost_bounds_) {
+      bound_row_.push_back(
+          model_.add_constraint(lp::Sense::kLessEqual, bound.rhs));
+    }
+  }
   if (first && eager_) {
     for (std::size_t e = 0; e < g_.num_edges(); ++e) {
       const auto id = static_cast<graph::EdgeId>(e);
@@ -453,8 +477,8 @@ PathLpResult PathLpSession::run_master(const graph::GraphView& view,
     if (dr.spec_index >= 0 && !dr.seeded) seed_row(view, static_cast<int>(i));
   }
 
-  // --- column generation (same exact pricing rule as PathLp; the basis
-  // and pool carry over between rounds *and* between calls) ---------------
+  // --- column generation (the basis and pool carry over between rounds
+  // *and* between calls) ---------------------------------------------------
   lp::Solution lp_solution;
   bool converged = false;
   double spec_total = 0.0;  // degenerate (s==t) demands route trivially
@@ -474,8 +498,8 @@ PathLpResult PathLpSession::run_master(const graph::GraphView& view,
     }
 
     // Lazy capacity rows: activate every violated edge, then re-solve.
-    // Unlike the one-shot PathLp there is no cold restart here — the
-    // appended rows degrade the warm basis, they do not discard it.
+    // There is no cold restart here — the appended rows degrade the warm
+    // basis, they do not discard it.
     if (!eager_) {
       std::vector<double> load(g_.num_edges(), 0.0);
       for (const Column& col : columns_) {
@@ -515,7 +539,13 @@ PathLpResult PathLpSession::run_master(const graph::GraphView& view,
       double w = 0.0;
       const int row = capacity_row_[e];
       if (row >= 0) w -= lp_solution.duals[static_cast<std::size_t>(row)];
-      if (mode_ == PathLpMode::kMinCost) w += objective_edge_cost_(id);
+      if (mode_ == PathLpMode::kMinCost) {
+        w += objective_edge_cost_(id);
+        for (std::size_t b = 0; b < bound_row_.size(); ++b) {
+          w -= lp_solution.duals[static_cast<std::size_t>(bound_row_[b])] *
+               cost_bounds_[b].edge_cost(id);
+        }
+      }
       edge_weight[e] = std::max(w, 0.0);
     }
 
@@ -580,7 +610,7 @@ PathLpResult PathLpSession::run_master(const graph::GraphView& view,
     }
   }
 
-  // --- result extraction (mirrors PathLp) ---------------------------------
+  // --- result extraction ---------------------------------------------------
   PathLpResult result;
   const int n_user = static_cast<int>(specs.size());
   result.converged =
@@ -656,6 +686,16 @@ PathLpResult PathLpSession::run_master(const graph::GraphView& view,
       break;
   }
   return result;
+}
+
+std::vector<PathLpSession::DemandSpec> demand_specs(
+    const std::vector<Demand>& demands) {
+  std::vector<PathLpSession::DemandSpec> specs;
+  specs.reserve(demands.size());
+  for (std::size_t i = 0; i < demands.size(); ++i) {
+    specs.push_back({static_cast<int>(i), demands[i]});
+  }
+  return specs;
 }
 
 }  // namespace netrec::mcf

@@ -1,12 +1,15 @@
-// Persistent path-LP sessions: column-pool + warm-basis reuse across the
-// nearly identical master LPs ISP solves every iteration.
+// PathLpSession: the path-based multi-commodity master of mcf/path_lp.hpp,
+// solved by column generation, with column-pool + warm-basis reuse across
+// the nearly identical master LPs ISP solves every iteration.
 //
-// One ISP solve issues hundreds of PathLp instances — a routability probe
-// per iteration, a kMaxSplit probe per (demand, v_BC) candidate — and
-// consecutive instances differ only by one repair and a few residual
-// updates.  The one-shot mcf::PathLp re-enumerates seed columns and
-// cold-starts the simplex for every one of them.  PathLpSession is the
-// warm counterpart, mirroring what graph::ViewCache did for snapshots:
+// It is the library's one path-LP engine.  One ISP solve issues hundreds
+// of master LPs — a routability probe per iteration, a kMaxSplit probe per
+// (demand, v_BC) candidate — and consecutive instances differ only by one
+// repair and a few residual updates, so ISP and the timeline keep their
+// sessions for a whole solve.  One-shot callers (max_routed_flow,
+// min_broken_usage, explore_optimal_face) run a throwaway session over
+// demand_specs(demands).  Reuse mirrors what graph::ViewCache did for
+// snapshots:
 //
 //   * the column (path) pool persists — paths are stored once, keyed by
 //     their endpoint pair, and installed as master columns per demand row;
@@ -43,11 +46,11 @@
 // variable, rewired per (split demand, via) probe, so probing every
 // centrality candidate against the same demand set shares one master.
 //
-// The session is an accelerator, not a new algorithm: it converges by the
-// same exact pricing rule as PathLp, so objectives, routability verdicts
-// and split amounts agree with the one-shot PathLp — the mcf-level session
-// tests pin the two bit-identical, and the ISP/Timeline golden
-// (tests/golden/isp_timeline.golden) pins the whole solves.
+// Pricing is exact (reduced-cost Dijkstra), so objectives, routability
+// verdicts and split amounts are LP optima.  A test-only one-shot reference
+// (tests/oracle/path_lp.hpp) rebuilds and cold-starts its master per call;
+// tests/test_path_lp.cpp pins the session against it, and the ISP/Timeline
+// golden (tests/golden/isp_timeline.golden) pins whole solves.
 #pragma once
 
 #include <cstdint>
@@ -85,6 +88,11 @@ class PathLpSession : public graph::MutationListener {
 
   /// kMinCost objective callback; retained, must outlive the session.
   void set_min_cost_objective(graph::EdgeWeight edge_cost);
+
+  /// Adds an optimal-face pinning row (kMinCost only, before the first
+  /// solve; std::logic_error otherwise).  Its callback is read once per
+  /// column at install, and per edge at every pricing round.
+  void add_cost_bound(PathCostBound bound);
 
   /// Intra-round pricing parallelism.  Within one pricing round every
   /// binding's threshold and target-stopped Dijkstra read only that
@@ -200,6 +208,8 @@ class PathLpSession : public graph::MutationListener {
   PathLpMode mode_;
   PathLpOptions opt_;
   graph::EdgeWeight objective_edge_cost_;
+  std::vector<PathCostBound> cost_bounds_;
+  std::vector<int> bound_row_;  ///< per cost bound; added at the first solve
   util::ThreadPool* thread_pool_ = nullptr;  ///< borrowed; see set_thread_pool
 
   bool initialized_ = false;
@@ -237,5 +247,10 @@ class PathLpSession : public graph::MutationListener {
 
   Stats stats_;
 };
+
+/// Tags demand i with uid i: the spec list of a one-shot solve on a
+/// throwaway session.
+std::vector<PathLpSession::DemandSpec> demand_specs(
+    const std::vector<Demand>& demands);
 
 }  // namespace netrec::mcf

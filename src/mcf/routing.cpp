@@ -66,10 +66,8 @@ RoutingResult greedy_route(const graph::GraphView& view,
 RoutingResult max_routed_flow(const graph::GraphView& view,
                               const std::vector<Demand>& demands,
                               const PathLpOptions& options) {
-  PathLp lp(view, demands, options);
-  lp.set_max_routed();
-  PathLpResult r = lp.solve();
-  return std::move(r.routing);
+  PathLpSession lp(view.graph(), PathLpMode::kMaxRouted, options);
+  return lp.solve(view, demand_specs(demands)).routing;
 }
 
 RoutingResult route_demands(const graph::GraphView& view,

@@ -4,9 +4,9 @@
 // over this (sub)graph with these capacities?" and, when the answer is yes,
 // produces a witness routing.  A greedy successive-shortest-path pre-pass
 // settles most YES instances without touching the LP; the column-generation
-// LP (PathLp, exact) decides the rest.  `max_routed_flow` is the referee
-// used to score demand loss for heuristics that cannot guarantee full
-// routing (SRT, GRD-COM).
+// LP (a throwaway PathLpSession, exact) decides the rest.  `max_routed_flow`
+// is the referee used to score demand loss for heuristics that cannot
+// guarantee full routing (SRT, GRD-COM).
 //
 // The (sub)graph and its capacities are a GraphView: GraphView::build(g) for
 // the full graph with static capacities, GraphView::working(g) for G(n), or
@@ -19,7 +19,6 @@
 
 #include "graph/graph.hpp"
 #include "graph/view.hpp"
-#include "mcf/path_lp.hpp"
 #include "mcf/path_lp_session.hpp"
 #include "mcf/types.hpp"
 

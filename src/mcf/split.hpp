@@ -8,29 +8,22 @@
 
 #include "graph/graph.hpp"
 #include "graph/view.hpp"
-#include "mcf/path_lp.hpp"
 #include "mcf/path_lp_session.hpp"
 #include "mcf/types.hpp"
 
 namespace netrec::mcf {
 
-/// Same LP on a persistent kMaxSplit session: the columns of the unsplit
-/// demands and of earlier (via, half) probes persist across calls, and the
-/// master warm-starts from the previous probe's basis — the hottest call in
-/// ISP's split phase (one probe per centrality candidate per iteration).
+/// The split LP on a kMaxSplit session; the routable network is the view's
+/// edges with positive capacity.  Returns dx in
+/// [0, demands[split_index].amount]; 0 when even the unsplit demand is not
+/// routable (ISP treats that as "pick a different candidate").  The columns
+/// of the unsplit demands and of earlier (via, half) probes persist across
+/// calls, and the master warm-starts from the previous probe's basis — the
+/// hottest call in ISP's split phase (one probe per centrality candidate
+/// per iteration).
 double max_splittable_amount(
     PathLpSession& session, const graph::GraphView& view,
     const std::vector<PathLpSession::DemandSpec>& demands, int split_index,
     graph::NodeId via);
-
-/// One-shot LP on a borrowed snapshot; the routable network is the view's
-/// edges with positive capacity (see PathLp's borrowed-view constructor).
-/// Returns dx in [0, demands[split_index].amount]; 0 when even the unsplit
-/// demand is not routable (ISP treats that as "pick a different
-/// candidate").
-double max_splittable_amount(const graph::GraphView& view,
-                             const std::vector<Demand>& demands,
-                             int split_index, graph::NodeId via,
-                             const PathLpOptions& options = {});
 
 }  // namespace netrec::mcf

@@ -1,4 +1,4 @@
-#include "mcf/path_lp.hpp"
+#include "oracle/path_lp.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -6,14 +6,21 @@
 #include <stdexcept>
 #include <unordered_map>
 
-#include "graph/dijkstra.hpp"
 #include "graph/simple_paths.hpp"
 #include "graph/view.hpp"
 #include "lp/model.hpp"
 #include "lp/simplex.hpp"
+#include "oracle/oracle.hpp"
 #include "util/log.hpp"
 
-namespace netrec::mcf {
+namespace netrec::oracle {
+
+using mcf::Demand;
+using mcf::PathCostBound;
+using mcf::PathFlow;
+using mcf::PathLpMode;
+using mcf::PathLpOptions;
+using mcf::PathLpResult;
 
 namespace {
 constexpr double kEps = 1e-9;
@@ -74,14 +81,21 @@ PathLpResult PathLp::solve() {
   }
   const int n_demands = static_cast<int>(demands.size());
 
-  // Seeding and every pricing round run Dijkstra on the view's flat CSR
-  // arrays.  The view's lengths are the hop metric the seeds use; pricing
-  // passes its own per-round length array.  An edge is in the routable
-  // network iff it is in the view and carries positive capacity (cached
-  // views keep drained edges as arcs).
+  // Seeding runs successive shortest paths on the view (hop metric).
+  // Pricing runs the callback oracle::dijkstra over the view's arcs (edge
+  // filter passed, head node in view) minus drained edges, under its own
+  // per-round length array.  An edge is in the routable network iff it is
+  // in the view and carries positive capacity (cached views keep drained
+  // edges as arcs).
   const graph::GraphView& view = view_;
   auto edge_usable = [&](graph::EdgeId id) {
     return view.edge_in_view(id) && view.edge_capacity(id) > kEps;
+  };
+  const graph::EdgeFilter priced_edge = [&view](graph::EdgeId e) {
+    return view.edge_passes_filter(e) && view.edge_capacity(e) > kEps;
+  };
+  const graph::NodeFilter priced_node = [&view](graph::NodeId n) {
+    return view.node_in_view(n);
   };
 
   // --- master model ------------------------------------------------------
@@ -232,7 +246,7 @@ PathLpResult PathLp::solve() {
   for (std::size_t round = 0; round < opt_.max_rounds; ++round) {
     lp_solution = lp::solve(model, lp_options, &basis);
     if (lp_solution.status != lp::SolveStatus::kOptimal) {
-      NETREC_LOG(kWarn) << "PathLp master returned "
+      NETREC_LOG(kWarn) << "oracle::PathLp master returned "
                         << lp::to_string(lp_solution.status);
       break;
     }
@@ -292,6 +306,9 @@ PathLpResult PathLp::solve() {
       edge_weight[e] = std::max(w, 0.0);
     }
 
+    const graph::EdgeWeight priced_length = [&edge_weight](graph::EdgeId e) {
+      return edge_weight[static_cast<std::size_t>(e)];
+    };
     bool added_column = false;
     for (int h = 0; h < n_demands; ++h) {
       const Demand& d = demands[static_cast<std::size_t>(h)];
@@ -305,9 +322,8 @@ PathLpResult PathLp::solve() {
           (mode_ == PathLpMode::kMaxRouted ? 1.0 + y_h : y_h) -
           opt_.tolerance * 10.0;
       if (threshold <= 0.0) continue;  // no path can improve
-      // Drained arcs are skipped.
-      auto tree = graph::dijkstra(view, d.source, edge_weight,
-                                  view.edge_capacities());
+      auto tree = oracle::dijkstra(g_, d.source, priced_length, priced_edge,
+                                   priced_node);
       if (!tree.reached(d.target)) continue;
       if (tree.distance[static_cast<std::size_t>(d.target)] < threshold) {
         auto path = tree.path_to(g_, d.target);
@@ -371,7 +387,7 @@ PathLpResult PathLp::solve() {
             user_demands_[static_cast<std::size_t>(h)].amount);
       }
       result.routing.fully_routed =
-          covered >= total_demand(user_demands_) - 1e-6;
+          covered >= mcf::total_demand(user_demands_) - 1e-6;
       break;
     }
     case PathLpMode::kMinCost:
@@ -388,4 +404,4 @@ PathLpResult PathLp::solve() {
   return result;
 }
 
-}  // namespace netrec::mcf
+}  // namespace netrec::oracle

@@ -195,6 +195,14 @@ TEST(Routing, ZeroAndSelfDemandsAreTriviallyRoutable) {
 
 // --- split LP -------------------------------------------------------------
 
+/// One split probe on a throwaway kMaxSplit session.
+double split_amount(const GraphView& view, const std::vector<Demand>& demands,
+                    int split_index, NodeId via) {
+  PathLpSession session(view.graph(), PathLpMode::kMaxSplit);
+  return max_splittable_amount(session, view, demand_specs(demands),
+                               split_index, via);
+}
+
 TEST(Split, FullSplitWhenViaOnOnlyPath) {
   // 0-1-2 path; splitting (0,2) on node 1 must allow the full demand.
   Graph g;
@@ -203,7 +211,7 @@ TEST(Split, FullSplitWhenViaOnOnlyPath) {
   g.add_edge(1, 2, 10.0);
   const auto view = GraphView::build(g);
   const std::vector<Demand> demands{Demand{0, 2, 8.0}};
-  EXPECT_NEAR(max_splittable_amount(view, demands, 0, 1), 8.0, 1e-6);
+  EXPECT_NEAR(split_amount(view, demands, 0, 1), 8.0, 1e-6);
 }
 
 TEST(Split, LimitedByViaCapacity) {
@@ -217,7 +225,7 @@ TEST(Split, LimitedByViaCapacity) {
   g.add_edge(2, 3, 10.0);
   const auto view = GraphView::build(g);
   const std::vector<Demand> demands{Demand{0, 3, 12.0}};
-  EXPECT_NEAR(max_splittable_amount(view, demands, 0, 1), 4.0, 1e-6);
+  EXPECT_NEAR(split_amount(view, demands, 0, 1), 4.0, 1e-6);
 }
 
 TEST(Split, RespectsOtherDemandsRoutability) {
@@ -234,7 +242,7 @@ TEST(Split, RespectsOtherDemandsRoutability) {
   // (0,2) can use 0-1-2 (10) and 0-3-2 (10).  Forcing dx through node 1
   // fights with (0,1)=6 on edge 0-1: dx <= 4 via 0-1 plus nothing else ...
   // the LP may route the (0,1) demand the long way (0-3-2-1), freeing 0-1.
-  const double dx = max_splittable_amount(view, demands, 0, 1);
+  const double dx = split_amount(view, demands, 0, 1);
   EXPECT_GE(dx, 4.0 - 1e-6);
   EXPECT_LE(dx, 10.0 + 1e-6);
   // Whatever dx was chosen, the split instance must remain routable.
@@ -251,7 +259,7 @@ TEST(Split, ZeroWhenInstanceUnroutable) {
   g.add_edge(1, 2, 1.0);
   const auto view = GraphView::build(g);
   const std::vector<Demand> demands{Demand{0, 2, 5.0}};  // cap is only 1
-  EXPECT_NEAR(max_splittable_amount(view, demands, 0, 1), 0.0, 1e-6);
+  EXPECT_NEAR(split_amount(view, demands, 0, 1), 0.0, 1e-6);
 }
 
 // --- eq. (8) relaxation ----------------------------------------------------

@@ -1,8 +1,11 @@
-// Direct tests of the column-generation master (PathLp): mode semantics,
-// lazy capacity-row activation, cost-bound rows and convergence reporting.
-// Plus PathLpSession, the persistent (column-pool + warm-basis) variant,
-// pinned against the one-shot master across mutations.
+// Direct tests of the column-generation master (PathLpSession): mode
+// semantics, lazy capacity-row activation, cost-bound rows and convergence
+// reporting on throwaway sessions; persistence across mutations, uid churn
+// and split probes; and the session against the test-only one-shot
+// reference (oracle::PathLp), exactly on the mutation and split-probe
+// scenarios and within 1e-9 (relative) on seeded random instances.
 #include <algorithm>
+#include <cmath>
 
 #include <gtest/gtest.h>
 
@@ -10,6 +13,7 @@
 #include "mcf/path_lp.hpp"
 #include "mcf/path_lp_session.hpp"
 #include "mcf/routing.hpp"
+#include "oracle/path_lp.hpp"
 #include "util/rng.hpp"
 
 namespace netrec::mcf {
@@ -30,12 +34,16 @@ Graph two_route_graph(double cap_a, double cap_b) {
   return g;
 }
 
+/// One solve of a throwaway session (kMaxRouted / kMinCost).
+PathLpResult solve_once(PathLpSession& session, const Graph& g,
+                        const std::vector<Demand>& demands) {
+  return session.solve(graph::GraphView::build(g), demand_specs(demands));
+}
+
 TEST(PathLp, MaxRoutedConvergesToExactOptimum) {
   Graph g = two_route_graph(7.0, 5.0);
-  const auto view = graph::GraphView::build(g);
-  PathLp lp(view, {Demand{0, 3, 100.0}});
-  lp.set_max_routed();
-  const auto r = lp.solve();
+  PathLpSession lp(g, PathLpMode::kMaxRouted);
+  const auto r = solve_once(lp, g, {Demand{0, 3, 100.0}});
   EXPECT_TRUE(r.converged);
   EXPECT_NEAR(r.objective, 12.0, 1e-6);
   EXPECT_FALSE(r.routing.fully_routed);
@@ -44,21 +52,27 @@ TEST(PathLp, MaxRoutedConvergesToExactOptimum) {
 TEST(PathLp, ModeMustBeConfigured) {
   Graph g = two_route_graph(1.0, 1.0);
   const auto view = graph::GraphView::build(g);
-  PathLp lp(view, {Demand{0, 3, 1.0}});
-  EXPECT_THROW(lp.solve(), std::logic_error);
+  const auto specs = demand_specs({Demand{0, 3, 1.0}});
+  // kMinCost needs its objective; each mode has its own entry point.
+  PathLpSession min_cost(g, PathLpMode::kMinCost);
+  EXPECT_THROW(min_cost.solve(view, specs), std::logic_error);
+  PathLpSession split(g, PathLpMode::kMaxSplit);
+  EXPECT_THROW(split.solve(view, specs), std::logic_error);
+  PathLpSession routed(g, PathLpMode::kMaxRouted);
+  EXPECT_THROW(routed.solve_split(view, specs, 0, 1), std::logic_error);
+  EXPECT_THROW(routed.set_min_cost_objective([](EdgeId) { return 0.0; }),
+               std::logic_error);
 }
 
 TEST(PathLp, MinCostPrefersCheapEdges) {
   Graph g = two_route_graph(10.0, 10.0);
   // Route A (via node 1) costs 5 per edge; route B free.
-  auto cost = [&g](EdgeId e) {
+  PathLpSession lp(g, PathLpMode::kMinCost);
+  lp.set_min_cost_objective([&g](EdgeId e) {
     const auto [eu, ev] = g.edge_endpoints(e);
     return (eu == 1 || ev == 1) ? 5.0 : 0.0;
-  };
-  const auto view = graph::GraphView::build(g);
-  PathLp lp(view, {Demand{0, 3, 8.0}});
-  lp.set_min_cost(cost);
-  const auto r = lp.solve();
+  });
+  const auto r = solve_once(lp, g, {Demand{0, 3, 8.0}});
   EXPECT_TRUE(r.converged);
   EXPECT_TRUE(r.routing.fully_routed);
   EXPECT_NEAR(r.objective, 0.0, 1e-6);  // everything on route B
@@ -66,25 +80,22 @@ TEST(PathLp, MinCostPrefersCheapEdges) {
 
 TEST(PathLp, MinCostPaysWhenForcedAcrossBothRoutes) {
   Graph g = two_route_graph(10.0, 4.0);
-  auto cost = [&g](EdgeId e) {
+  PathLpSession lp(g, PathLpMode::kMinCost);
+  lp.set_min_cost_objective([&g](EdgeId e) {
     const auto [eu, ev] = g.edge_endpoints(e);
     return (eu == 1 || ev == 1) ? 1.0 : 0.0;
-  };
+  });
   // Demand 10 > free route capacity 4: six units must take the 2-cost route.
-  const auto view = graph::GraphView::build(g);
-  PathLp lp(view, {Demand{0, 3, 10.0}});
-  lp.set_min_cost(cost);
-  const auto r = lp.solve();
+  const auto r = solve_once(lp, g, {Demand{0, 3, 10.0}});
   EXPECT_TRUE(r.routing.fully_routed);
   EXPECT_NEAR(r.objective, 12.0, 1e-6);  // 6 units x cost 2
 }
 
 TEST(PathLp, MinCostReportsShortfallWhenInfeasible) {
   Graph g = two_route_graph(2.0, 1.0);
-  const auto view = graph::GraphView::build(g);
-  PathLp lp(view, {Demand{0, 3, 10.0}});
-  lp.set_min_cost([](EdgeId) { return 0.0; });
-  const auto r = lp.solve();
+  PathLpSession lp(g, PathLpMode::kMinCost);
+  lp.set_min_cost_objective([](EdgeId) { return 0.0; });
+  const auto r = solve_once(lp, g, {Demand{0, 3, 10.0}});
   EXPECT_FALSE(r.routing.fully_routed);
   ASSERT_EQ(r.shortfall.size(), 1u);
   EXPECT_NEAR(r.shortfall[0], 7.0, 1e-6);  // 10 wanted, 3 routable
@@ -92,29 +103,27 @@ TEST(PathLp, MinCostReportsShortfallWhenInfeasible) {
 
 TEST(PathLp, MaxSplitHonoursDxCap) {
   Graph g = two_route_graph(6.0, 9.0);
-  const auto view = graph::GraphView::build(g);
-  PathLp lp(view, {Demand{0, 3, 4.0}});
-  lp.set_max_split(0, 1);
-  const auto r = lp.solve();
+  PathLpSession lp(g, PathLpMode::kMaxSplit);
+  const auto r = lp.solve_split(graph::GraphView::build(g),
+                                demand_specs({Demand{0, 3, 4.0}}), 0, 1);
   EXPECT_TRUE(r.converged);
   EXPECT_NEAR(r.objective, 4.0, 1e-6);  // dx capped by the demand itself
 }
 
 TEST(PathLp, SplitIndexValidation) {
   Graph g = two_route_graph(1.0, 1.0);
-  const auto view = graph::GraphView::build(g);
-  PathLp lp(view, {Demand{0, 3, 1.0}});
-  lp.set_max_split(5, 1);
-  EXPECT_THROW(lp.solve(), std::invalid_argument);
+  PathLpSession lp(g, PathLpMode::kMaxSplit);
+  EXPECT_THROW(lp.solve_split(graph::GraphView::build(g),
+                              demand_specs({Demand{0, 3, 1.0}}), 5, 1),
+               std::invalid_argument);
 }
 
 TEST(PathLp, CostBoundRequiresMinCostMode) {
   Graph g = two_route_graph(1.0, 1.0);
-  const auto view = graph::GraphView::build(g);
-  PathLp lp(view, {Demand{0, 3, 1.0}});
-  lp.set_max_routed();
-  lp.add_cost_bound(PathCostBound{[](EdgeId) { return 1.0; }, 5.0});
-  EXPECT_THROW(lp.solve(), std::logic_error);
+  PathLpSession lp(g, PathLpMode::kMaxRouted);
+  EXPECT_THROW(
+      lp.add_cost_bound(PathCostBound{[](EdgeId) { return 1.0; }, 5.0}),
+      std::logic_error);
 }
 
 TEST(PathLp, CostBoundPinsTheOptimalFace) {
@@ -125,14 +134,13 @@ TEST(PathLp, CostBoundPinsTheOptimalFace) {
   };
   // Secondary objective prefers route A, but the bound row pins route-A
   // usage to zero cost, forcing the flow onto route B.
-  const auto view = graph::GraphView::build(g);
-  PathLp lp(view, {Demand{0, 3, 5.0}});
-  lp.set_min_cost([&g](EdgeId e) {
+  PathLpSession lp(g, PathLpMode::kMinCost);
+  lp.set_min_cost_objective([&g](EdgeId e) {
     const auto [eu, ev] = g.edge_endpoints(e);
     return (eu == 2 || ev == 2) ? 1.0 : 0.0;  // dislikes route B
   });
   lp.add_cost_bound(PathCostBound{route_a_cost, 0.0});
-  const auto r = lp.solve();
+  const auto r = solve_once(lp, g, {Demand{0, 3, 5.0}});
   EXPECT_TRUE(r.routing.fully_routed);
   for (const auto& flow : r.routing.flows) {
     if (flow.amount <= 1e-7) continue;
@@ -150,10 +158,8 @@ TEST(PathLp, LazyCapacityRowsActivateOnLargeGraphs) {
   }
   PathLpOptions opt;
   opt.eager_capacity_threshold = 50;  // force lazy mode
-  const auto view = graph::GraphView::build(g);
-  PathLp lp(view, {Demand{0, n - 1, 10.0}}, opt);
-  lp.set_max_routed();
-  const auto r = lp.solve();
+  PathLpSession lp(g, PathLpMode::kMaxRouted, opt);
+  const auto r = solve_once(lp, g, {Demand{0, n - 1, 10.0}});
   EXPECT_TRUE(r.converged);
   EXPECT_NEAR(r.objective, 3.0, 1e-6);  // the tight edge binds
 }
@@ -164,10 +170,8 @@ TEST(PathLp, ParallelDemandsShareFairlyAtOptimum) {
   Graph g = two_route_graph(6.0, 6.0);
   std::vector<Demand> demands{Demand{0, 3, 6.0}, Demand{0, 3, 6.0},
                               Demand{0, 3, 6.0}};
-  const auto view = graph::GraphView::build(g);
-  PathLp lp(view, demands);
-  lp.set_max_routed();
-  const auto r = lp.solve();
+  PathLpSession lp(g, PathLpMode::kMaxRouted);
+  const auto r = solve_once(lp, g, demands);
   EXPECT_NEAR(r.objective, 12.0, 1e-6);
   for (std::size_t h = 0; h < demands.size(); ++h) {
     EXPECT_LE(r.routing.routed[h], 6.0 + 1e-6);
@@ -192,10 +196,8 @@ TEST(PathLp, RandomInstancesNeverExceedCapacities) {
       if (s != t) demands.push_back(Demand{s, t, rng.uniform(1.0, 5.0)});
     }
     if (demands.empty()) continue;
-    const auto view = graph::GraphView::build(g);
-    PathLp lp(view, demands);
-    lp.set_max_routed();
-    const auto r = lp.solve();
+    PathLpSession lp(g, PathLpMode::kMaxRouted);
+    const auto r = solve_once(lp, g, demands);
     EXPECT_TRUE(routing_is_valid(
         g, demands, r.routing.flows, {},
         [&g](EdgeId e) { return g.edge_capacity(e); }))
@@ -245,10 +247,10 @@ TEST(PathLpSession, MatchesOneShotAcrossResidualMutations) {
   const std::vector<Demand> plain = {Demand{0, 3, 100.0}};
 
   // Three rounds, draining route A between rounds; the session must track
-  // the one-shot PathLp on the identical view exactly.
+  // the one-shot oracle on the identical view exactly.
   for (int round = 0; round < 3; ++round) {
     const auto s = session.solve(fx.view(), specs);
-    PathLp one_shot(fx.view(), plain);
+    oracle::PathLp one_shot(fx.view(), plain);
     one_shot.set_max_routed();
     const auto reference = one_shot.solve();
     EXPECT_EQ(s.objective, reference.objective) << "round " << round;
@@ -298,7 +300,7 @@ TEST(PathLpSession, SplitProbesMatchOneShot) {
 
   for (const NodeId via : {NodeId{1}, NodeId{2}, NodeId{1}}) {
     const auto s = session.solve_split(fx.view(), specs, 0, via);
-    PathLp one_shot(fx.view(), plain);
+    oracle::PathLp one_shot(fx.view(), plain);
     one_shot.set_max_split(0, via);
     const auto reference = one_shot.solve();
     EXPECT_EQ(s.objective, reference.objective) << "via " << via;
@@ -354,6 +356,163 @@ TEST(PathLpSession, EpochBumpResetsAllState) {
   EXPECT_EQ(session.stats().resets, 1u);
   EXPECT_NEAR(session.solve(fx.view(), specs).objective, 12.0, 1e-6);
   fx.cache.remove_listener(&session);
+}
+
+TEST(PathLpSession, CostBoundAfterFirstSolveThrows) {
+  Graph g = two_route_graph(10.0, 10.0);
+  PathLpSession session(g, PathLpMode::kMinCost);
+  session.set_min_cost_objective([](EdgeId) { return 1.0; });
+  const auto r = solve_once(session, g, {Demand{0, 3, 5.0}});
+  EXPECT_TRUE(r.routing.fully_routed);
+  EXPECT_THROW(
+      session.add_cost_bound(PathCostBound{[](EdgeId) { return 1.0; }, 9.0}),
+      std::logic_error);
+}
+
+/// Random graph: `n` nodes, each pair joined with probability `p`,
+/// capacities in [1, 6).
+Graph random_graph(util::Rng& rng, int n, double p) {
+  Graph g;
+  for (int i = 0; i < n; ++i) g.add_node();
+  for (int i = 0; i < n; ++i) {
+    for (int j = i + 1; j < n; ++j) {
+      if (rng.chance(p)) g.add_edge(i, j, rng.uniform(1.0, 6.0));
+    }
+  }
+  return g;
+}
+
+TEST(PathLpSession, DifferentialAgainstOneShotOracle) {
+  // Seeded random instances, each solved by a throwaway session and by the
+  // one-shot oracle in every mode: eager (few edges) and lazy (more than
+  // the 160-edge eager threshold) capacity rows, drained edges and an
+  // excluded interior node in the view, and demands that repeat an (s, t)
+  // pair.  The two engines may pick different optimal vertices (shared
+  // seed pools per pair, warm-appended lazy rows, half rows seeded first),
+  // so flows are checked for validity and objectives for agreement, not
+  // bytes.
+  util::Rng rng(20161);
+  int lazy_trials = 0;
+  for (int trial = 0; trial < 24; ++trial) {
+    const bool lazy = trial % 2 == 1;
+    const int n = lazy ? 30 : 10;
+    Graph g = random_graph(rng, n, 0.45);
+    if (lazy && g.num_edges() > PathLpOptions{}.eager_capacity_threshold) {
+      ++lazy_trials;
+    }
+
+    std::vector<Demand> demands;
+    for (int k = 0; k < 4; ++k) {
+      const auto s = static_cast<NodeId>(rng.uniform_int(0, n - 1));
+      auto t = static_cast<NodeId>(rng.uniform_int(0, n - 2));
+      if (t >= s) ++t;
+      demands.push_back(Demand{s, t, rng.uniform(1.0, 8.0)});
+    }
+    // A repeated (s, t) pair with its own amount.
+    demands.push_back(Demand{demands[0].source, demands[0].target,
+                             rng.uniform(1.0, 4.0)});
+    const auto specs = demand_specs(demands);
+    const int split = static_cast<int>(rng.uniform_int(0, 4));
+    const Demand& h = demands[static_cast<std::size_t>(split)];
+    auto via = static_cast<NodeId>(rng.uniform_int(0, n - 1));
+    while (via == h.source || via == h.target) via = (via + 1) % n;
+
+    // Demand endpoints and the via node (at most 9 nodes) stay in the
+    // view; every third trial drops one other node.
+    std::vector<char> terminal(static_cast<std::size_t>(n), 0);
+    terminal[static_cast<std::size_t>(via)] = 1;
+    for (const Demand& d : demands) {
+      terminal[static_cast<std::size_t>(d.source)] = 1;
+      terminal[static_cast<std::size_t>(d.target)] = 1;
+    }
+    NodeId excluded = graph::kInvalidNode;
+    if (trial % 3 == 0) {
+      excluded = static_cast<NodeId>(rng.uniform_int(0, n - 1));
+      while (terminal[static_cast<std::size_t>(excluded)]) {
+        excluded = (excluded + 1) % n;
+      }
+    }
+    std::vector<double> capacity(g.num_edges());
+    for (std::size_t e = 0; e < g.num_edges(); ++e) {
+      capacity[e] =
+          rng.chance(0.1) ? 0.0 : g.edge_capacity(static_cast<EdgeId>(e));
+    }
+    graph::ViewConfig config;
+    config.capacity = [&capacity](EdgeId e) {
+      return capacity[static_cast<std::size_t>(e)];
+    };
+    config.node_ok = [excluded](NodeId v) { return v != excluded; };
+    const auto view = graph::GraphView::build(g, config);
+
+    std::vector<double> cost(g.num_edges());
+    std::vector<double> secondary(g.num_edges());
+    for (std::size_t e = 0; e < g.num_edges(); ++e) {
+      cost[e] = rng.uniform(0.0, 1.0);
+      secondary[e] = rng.uniform(0.0, 1.0);
+    }
+    const graph::EdgeWeight cost_of = [&cost](EdgeId e) {
+      return cost[static_cast<std::size_t>(e)];
+    };
+    const graph::EdgeWeight secondary_of = [&secondary](EdgeId e) {
+      return secondary[static_cast<std::size_t>(e)];
+    };
+
+    const auto agree = [&](const char* mode, const PathLpResult& reference,
+                           const PathLpResult& session,
+                           const std::vector<Demand>& flow_demands) {
+      SCOPED_TRACE(::testing::Message() << "trial " << trial << " " << mode);
+      EXPECT_TRUE(reference.converged);
+      EXPECT_TRUE(session.converged);
+      EXPECT_EQ(reference.routing.fully_routed, session.routing.fully_routed);
+      EXPECT_NEAR(session.objective, reference.objective,
+                  1e-9 * std::max(1.0, std::abs(reference.objective)));
+      EXPECT_TRUE(routing_is_valid(
+          g, flow_demands, session.routing.flows,
+          [&view](EdgeId e) { return view.edge_in_view(e); },
+          [&view](EdgeId e) { return view.edge_capacity(e); }));
+    };
+
+    {
+      oracle::PathLp reference(view, demands);
+      reference.set_max_routed();
+      PathLpSession session(g, PathLpMode::kMaxRouted);
+      agree("kMaxRouted", reference.solve(), session.solve(view, specs),
+            demands);
+    }
+    double base_cost = 0.0;
+    {
+      oracle::PathLp reference(view, demands);
+      reference.set_min_cost(cost_of);
+      const PathLpResult expected = reference.solve();
+      base_cost = expected.objective;
+      PathLpSession session(g, PathLpMode::kMinCost);
+      session.set_min_cost_objective(cost_of);
+      agree("kMinCost", expected, session.solve(view, specs), demands);
+    }
+    {
+      // Pin the first objective (eq. 8 style) and re-optimise another.
+      const PathCostBound bound{cost_of, base_cost + 1e-6};
+      oracle::PathLp reference(view, demands);
+      reference.set_min_cost(secondary_of);
+      reference.add_cost_bound(bound);
+      PathLpSession session(g, PathLpMode::kMinCost);
+      session.set_min_cost_objective(secondary_of);
+      session.add_cost_bound(bound);
+      agree("kMinCost+bound", reference.solve(), session.solve(view, specs),
+            demands);
+    }
+    {
+      std::vector<Demand> with_halves = demands;
+      with_halves.push_back(Demand{h.source, via, h.amount});
+      with_halves.push_back(Demand{via, h.target, h.amount});
+      oracle::PathLp reference(view, demands);
+      reference.set_max_split(split, via);
+      PathLpSession session(g, PathLpMode::kMaxSplit);
+      agree("kMaxSplit", reference.solve(),
+            session.solve_split(view, specs, split, via), with_halves);
+    }
+  }
+  EXPECT_GE(lazy_trials, 10);
 }
 
 }  // namespace
